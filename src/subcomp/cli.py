@@ -3,8 +3,10 @@
 Graph files are plain text: a header line "n m", then m lines "u v", with
 blank lines and '#' comments ignored.  Decision subcommands print a single
 JSON object {"answer", "witness", "target", ...} and exit 0 on yes, 1 on
-no, 2 on bad input, 3 when the brute-force capacity guard refuses.  Output
-is byte-deterministic: keys are sorted and witnesses are sorted id lists.
+no, 2 on bad input, 3 when the brute-force capacity guard refuses, and 4
+on an internal error (any other exception, reported on stderr, so that a
+crash is never read as "no").  Output is byte-deterministic: keys are
+sorted and witnesses are sorted id lists.
 """
 
 from __future__ import annotations
@@ -225,7 +227,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    try:
+        return _run(args)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
+
+def _run(args: argparse.Namespace) -> int:
     try:
         g = _read_graph_arg(args.graph)
     except (GraphParseError, OSError) as exc:

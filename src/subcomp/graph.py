@@ -119,14 +119,6 @@ class Graph:
             acc |= self._rows[v]
         return members_of(acc & ~smask)
 
-    def closed_set_neighborhood(self, vertices: Iterable[int]) -> tuple[int, ...]:
-        """Closed neighborhood N[S] = N(S) plus S itself."""
-        smask = self._subset_mask(vertices)
-        acc = smask
-        for v in members_of(smask):
-            acc |= self._rows[v]
-        return members_of(acc)
-
     def max_degree(self) -> int:
         """Maximum degree; 0 on the empty graph."""
         return max((r.bit_count() for r in self._rows), default=0)

@@ -9,11 +9,14 @@ complementation lands the graph in a bounded-degree class:
 * if S contains any vertex of degree <= k and the result has max degree
   <= k, then |S| <= 2k+1 and the input max degree is at most 3k.
 
-Together these give a bounded-depth branching search for the max-degree
-target, a certified 3-approximation for minimizing the achievable max
-degree, and a two-phase search (grow a seed set, then look for a detached
-regular completion) for the k-regular target.  All searches use fixed
-minimum-id orders so witnesses are deterministic and reproducible.
+Together these give a certified 3-approximation for minimizing the
+achievable max degree and one bounded-depth branching search, _search,
+that serves both exact decisions: it grows S from the forced violators up
+to |S| = 2k+1 on an explicit stack, and for the k-regular target also
+looks for a detached regular completion of each small enough set.  Since
+every search set contains all the input violators, one scan of S alone
+(_first_violator) decides whether a set is a witness.  All searches use
+fixed minimum-id orders so witnesses are deterministic and reproducible.
 """
 
 from __future__ import annotations
@@ -29,10 +32,13 @@ from subcomp.oracle import SolveOutcome
 class BranchStats:
     """Search instrumentation; carries no correctness weight.
 
-    nodes counts candidate sets evaluated, max_depth counts vertices added
-    beyond the starting set (bounded by 2k+1), pruned_by_size counts nodes
-    cut at the |S| = 2k+1 cardinality bound, pruned_by_maxdeg counts dead
-    nodes whose degree violation cannot be repaired by growing the set.
+    Filled in by _search for both exact decisions.  nodes counts candidate
+    sets evaluated (the start set included; the candidates of the detached
+    completion are not counted), max_depth counts vertices added beyond the
+    start set (bounded by 2k+1), pruned_by_size counts sets cut at the
+    |S| = 2k+1 cardinality bound, and pruned_by_maxdeg (max-degree search
+    only) counts sets whose minimum-id violator has no original neighbor
+    left outside the set, so no child can repair it.
     """
 
     nodes: int = 0
@@ -81,20 +87,100 @@ def trivial_high_max_degree_witness(g: Graph, k: int) -> tuple[int, ...] | None:
     return members_of(((1 << g.n) - 1) & ~g._rows[0])
 
 
-# -- max degree at most k ----------------------------------------------
+# -- the shared branching search ----------------------------------------
 
 
-def _first_violator_over(g: Graph, smask: int, ssize: int, k: int) -> int:
-    """Minimum-id vertex whose post-complementation degree exceeds k, or -1."""
-    for v in range(g.n):
-        row = g._rows[v]
-        if smask >> v & 1:
-            d = row.bit_count() + ssize - 1 - 2 * (row & smask).bit_count()
-        else:
-            d = row.bit_count()
-        if d > k:
+def _first_violator(g: Graph, smask: int, ssize: int, lo: int, hi: int) -> int:
+    """Minimum-id member of S whose post-complementation degree leaves [lo, hi].
+
+    Returns -1 when every member complies.  Only S is scanned: a vertex
+    outside S keeps its degree, so the caller must know that those comply.
+    """
+    rows = g._rows
+    rest = smask
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        row = rows[v]
+        d = row.bit_count() + ssize - 1 - 2 * (row & smask).bit_count()
+        if d < lo or d > hi:
             return v
+        rest ^= low
     return -1
+
+
+def _search(g: Graph, k: int, smask: int, regular: bool) -> SolveOutcome:
+    """Depth-first growth of S from the forced start set, up to |S| = 2k+1.
+
+    The start set holds every input violator (V_>k, or V_!=k when
+    `regular`), and so does every set grown from it, which is what lets
+    _first_violator scan S alone.  A set whose members all land in the
+    target range is the witness.  Otherwise its children add one vertex:
+    for max degree <= k an original neighbor of the minimum-id violator
+    (only that deletes one of its edges), for k-regular any neighbor of the
+    set, after a set of size <= k has first tried find_regular_extension.
+    Children are visited in increasing id and sets already seen are
+    skipped.  The stack holds one (set, size, untried children) frame per
+    level, so the depth is bounded by 2k+1 and not by the recursion limit.
+    """
+    lo = k if regular else 0
+    rows = g._rows
+    limit = 2 * k + 1
+    stats = BranchStats(nodes=1)
+    ssize = smask.bit_count()
+    viol = _first_violator(g, smask, ssize, lo, k)
+    if viol < 0:
+        return SolveOutcome(True, members_of(smask), stats.nodes, stats)
+    # A solution would strictly contain the failed start set plus a vertex
+    # of degree <= k, which caps the input max degree at 3k and, for max
+    # degree, the start set at 2k vertices.
+    if g.max_degree() > 3 * k or (not regular and ssize >= limit):
+        return SolveOutcome(False, None, stats.nodes, stats)
+
+    visited = {smask}
+    stack = []
+    while True:
+        if regular and ssize <= k:
+            completion = find_regular_extension(g, members_of(smask), k)
+            if completion is not None:
+                witness = members_of(smask | mask_of(completion))
+                return SolveOutcome(True, witness, stats.nodes, stats)
+        if ssize >= limit:
+            stats.pruned_by_size += 1
+        elif regular:
+            reach = 0
+            for u in members_of(smask):
+                reach |= rows[u]
+            stack.append((smask, ssize, reach & ~smask))
+        elif rows[viol] & ~smask:
+            stack.append((smask, ssize, rows[viol] & ~smask))
+        else:
+            # Every vertex still outside S would raise the violator's degree.
+            stats.pruned_by_maxdeg += 1
+
+        while stack:
+            parent, psize, untried = stack[-1]
+            if not untried:
+                stack.pop()
+                continue
+            low = untried & -untried
+            stack[-1] = (parent, psize, untried ^ low)
+            smask = parent | low
+            if smask in visited:
+                continue
+            visited.add(smask)
+            stats.nodes += 1
+            stats.max_depth = max(stats.max_depth, len(stack))
+            ssize = psize + 1
+            viol = _first_violator(g, smask, ssize, lo, k)
+            if viol < 0:
+                return SolveOutcome(True, members_of(smask), stats.nodes, stats)
+            break
+        else:
+            return SolveOutcome(False, None, stats.nodes, stats)
+
+
+# -- max degree at most k ----------------------------------------------
 
 
 def solve_max_deg_le(g: Graph, k: int) -> SolveOutcome:
@@ -109,60 +195,8 @@ def solve_max_deg_le(g: Graph, k: int) -> SolveOutcome:
     are S + {w} for each such w in increasing id.  Already-visited sets are
     skipped; the first compliant set in this DFS order is the witness.
     """
-    stats = BranchStats()
-    rmask = 0
-    for v in range(g.n):
-        if g._rows[v].bit_count() > k:
-            rmask |= 1 << v
-    rsize = rmask.bit_count()
-
-    stats.nodes = 1
-    viol = _first_violator_over(g, rmask, rsize, k)
-    if viol < 0:
-        return SolveOutcome(True, members_of(rmask), stats.nodes, stats)
-    if g.max_degree() > 3 * k:
-        return SolveOutcome(False, None, stats.nodes, stats)
-    if rsize > 2 * k:
-        # R failed, so a solution would be a strict superset of R containing
-        # a degree-<= k vertex, forcing |S| <= 2k+1 and |R| <= 2k.
-        return SolveOutcome(False, None, stats.nodes, stats)
-
-    limit = 2 * k + 1
-    visited = {rmask}
-
-    def expand(smask: int, ssize: int, viol: int, depth: int) -> int | None:
-        if ssize >= limit:
-            stats.pruned_by_size += 1
-            return None
-        if not smask >> viol & 1:
-            # A violator outside the set keeps its degree forever: dead end.
-            # Unreachable from R (V_>k starts inside), kept for robustness.
-            stats.pruned_by_maxdeg += 1
-            return None
-        candidates = g._rows[viol] & ~smask
-        if not candidates:
-            stats.pruned_by_maxdeg += 1
-            return None
-        for w in members_of(candidates):
-            child = smask | 1 << w
-            if child in visited:
-                continue
-            visited.add(child)
-            stats.nodes += 1
-            if depth + 1 > stats.max_depth:
-                stats.max_depth = depth + 1
-            cviol = _first_violator_over(g, child, ssize + 1, k)
-            if cviol < 0:
-                return child
-            found = expand(child, ssize + 1, cviol, depth + 1)
-            if found is not None:
-                return found
-        return None
-
-    found = expand(rmask, rsize, viol, 0)
-    if found is not None:
-        return SolveOutcome(True, members_of(found), stats.nodes, stats)
-    return SolveOutcome(False, None, stats.nodes, stats)
+    rmask = mask_of(v for v, row in enumerate(g._rows) if row.bit_count() > k)
+    return _search(g, k, rmask, regular=False)
 
 
 # -- min degree at least k ---------------------------------------------
@@ -221,18 +255,6 @@ def approx_min_max_degree(g: Graph) -> ApproxResult:
 # -- k-regular ----------------------------------------------------------
 
 
-def _is_regular_after(g: Graph, smask: int, ssize: int, k: int) -> bool:
-    for v in range(g.n):
-        row = g._rows[v]
-        if smask >> v & 1:
-            d = row.bit_count() + ssize - 1 - 2 * (row & smask).bit_count()
-        else:
-            d = row.bit_count()
-        if d != k:
-            return False
-    return True
-
-
 def find_regular_extension(g: Graph, base, k: int) -> tuple[int, ...] | None:
     """Detached completion of a seed set for the k-regular target.
 
@@ -271,6 +293,9 @@ def find_regular_extension(g: Graph, base, k: int) -> tuple[int, ...] | None:
     for v in members_of(bmask):
         reach |= g._rows[v]
     excluded = (reach | bmask) & ((1 << g.n) - 1)
+    # Degree-!=k vertices outside the seed keep their degree unless C takes
+    # them in; with them inside seed + C, _first_violator can scan S alone.
+    stray = mask_of(v for v in range(g.n) if degs[v] != k) & ~bmask
 
     for v in range(g.n):
         if excluded >> v & 1:
@@ -280,8 +305,9 @@ def find_regular_extension(g: Graph, base, k: int) -> tuple[int, ...] | None:
         for csize in range(1, k + 1):
             for tail in combinations(pool, csize - 1):
                 cmask = vbit | mask_of(tail)
-                smask = bmask | cmask
-                if _is_regular_after(g, smask, bsize + csize, k):
+                if stray & ~cmask:
+                    continue
+                if _first_violator(g, bmask | cmask, bsize + csize, k, k) < 0:
                     return members_of(cmask)
     return None
 
@@ -300,57 +326,9 @@ def solve_k_regular(g: Graph, k: int) -> SolveOutcome:
     candidate is the one solution shape the cardinality bound does not
     cover.
     """
-    stats = BranchStats()
     if g.is_regular(k):
-        stats.nodes = 1
-        return SolveOutcome(True, (), stats.nodes, stats)
+        return SolveOutcome(True, (), 1, BranchStats(nodes=1))
     if k >= g.n:
-        stats.nodes = 1
-        return SolveOutcome(False, None, stats.nodes, stats)
-
-    s0mask = 0
-    for v in range(g.n):
-        if g._rows[v].bit_count() != k:
-            s0mask |= 1 << v
-    s0size = s0mask.bit_count()
-
-    stats.nodes = 1
-    if _is_regular_after(g, s0mask, s0size, k):
-        return SolveOutcome(True, members_of(s0mask), stats.nodes, stats)
-    if g.max_degree() > 3 * k:
-        return SolveOutcome(False, None, stats.nodes, stats)
-
-    limit = 2 * k + 1
-    visited = {s0mask}
-
-    def expand(smask: int, ssize: int, depth: int) -> int | None:
-        if ssize <= k:
-            completion = find_regular_extension(g, members_of(smask), k)
-            if completion is not None:
-                return smask | mask_of(completion)
-        if ssize >= limit:
-            stats.pruned_by_size += 1
-            return None
-        frontier = 0
-        for u in members_of(smask):
-            frontier |= g._rows[u]
-        frontier &= ~smask
-        for w in members_of(frontier):
-            child = smask | 1 << w
-            if child in visited:
-                continue
-            visited.add(child)
-            stats.nodes += 1
-            if depth + 1 > stats.max_depth:
-                stats.max_depth = depth + 1
-            if _is_regular_after(g, child, ssize + 1, k):
-                return child
-            found = expand(child, ssize + 1, depth + 1)
-            if found is not None:
-                return found
-        return None
-
-    found = expand(s0mask, s0size, 0)
-    if found is not None:
-        return SolveOutcome(True, members_of(found), stats.nodes, stats)
-    return SolveOutcome(False, None, stats.nodes, stats)
+        return SolveOutcome(False, None, 1, BranchStats(nodes=1))
+    s0mask = mask_of(v for v, row in enumerate(g._rows) if row.bit_count() != k)
+    return _search(g, k, s0mask, regular=True)

@@ -216,6 +216,15 @@ class TestErrors:
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
 
+    def test_internal_error_is_not_no(self, capsys, c5_file, monkeypatch):
+        def crash(g, k):
+            raise RuntimeError("solver bug")
+
+        monkeypatch.setattr("subcomp.cli.solve_max_deg_le", crash)
+        code, payload, err = run_cli(capsys, ["maxdeg", "--k", "1", c5_file])
+        assert code == 4 and payload is None
+        assert "internal error" in err and "solver bug" in err
+
 
 class TestReduce:
     def test_writes_gadget(self, capsys, tmp_path):

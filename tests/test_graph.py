@@ -207,7 +207,6 @@ class TestHelperQueries:
         assert g.closed_neighborhood(0) == (0, 1, 3)
         assert g.set_neighborhood([0]) == (1, 3)
         assert g.set_neighborhood([0, 1]) == (2, 3)
-        assert g.closed_set_neighborhood([0, 1]) == (0, 1, 2, 3)
 
     def test_degree_extremes(self):
         g = star(4)

@@ -1,11 +1,14 @@
 """Branching solvers against the brute-force oracle, plus witness structure."""
 
+import inspect
+import sys
+from dataclasses import asdict
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subcomp.families import complete, cycle, empty_graph, path, star
+from subcomp.families import complete, cycle, empty_graph, gnp, path, star
 from subcomp.graph import Graph, mask_of
 from subcomp.oracle import (
     brute_force_min_max_degree,
@@ -89,6 +92,20 @@ class TestSolveMaxDegLe:
 
     def test_n_zero(self):
         assert solve_max_deg_le(Graph(0, []), 0).answer
+
+    def test_depth_independent_of_recursion_limit(self):
+        # star(121) at k = 60 pulls 61 leaves in one at a time, so the
+        # search runs 61 levels deep with only 30 frames of headroom.
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 30)
+        try:
+            out = solve_max_deg_le(star(121), 60)
+            dual = solve_min_deg_ge(star(121).complement(), 122 - 1 - 60)
+        finally:
+            sys.setrecursionlimit(old_limit)
+        assert out.answer and len(out.witness) == 62
+        assert out.stats.max_depth == 61
+        assert dual == out
 
     @settings(max_examples=120, deadline=None)
     @given(graphs(), st.integers(0, 5))
@@ -224,6 +241,12 @@ class TestFindRegularExtension:
         with pytest.raises(ValueError):
             find_regular_extension(cycle(4), (0,), 2)
 
+    def test_degree_off_vertex_outside_seed(self):
+        # 3 and 5 have degree 1 and lie outside the seed; no completion
+        # may leave them out, although (2,) fixes every vertex it touches.
+        g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        assert find_regular_extension(g, (0,), 2) is None
+
     def test_k0_no_completion(self):
         # only the empty seed fits when k = 0, and no non-empty detached
         # set can exist, so the search degenerates to "absent"
@@ -284,3 +307,75 @@ class TestSolveKRegular:
         out = solve_k_regular(g, k)
         assert out.stats.nodes >= 1
         assert out.stats.max_depth <= 2 * k + 1
+
+
+_SOLVERS = {
+    "maxdeg": solve_max_deg_le,
+    "mindeg": solve_min_deg_ge,
+    "regular": solve_k_regular,
+}
+
+# (target, graph, k, answer, witness, (nodes, max_depth, pruned_by_size,
+# pruned_by_maxdeg)), recorded from the recursive searches that the one
+# iterative core replaced.  The order children are visited in decides the
+# witness and every counter, so this table pins that order.
+PINNED_SEARCHES = [
+    ("maxdeg", gnp(10, 0.22, 0), 1, True, (5, 6), (1, 0, 0, 0)),
+    ("maxdeg", gnp(10, 0.22, 1), 1, False, None, (1, 0, 0, 0)),
+    ("maxdeg", gnp(10, 0.22, 2), 1, False, None, (1, 0, 0, 0)),
+    ("maxdeg", gnp(10, 0.33, 0), 2, False, None, (8, 2, 5, 0)),
+    ("maxdeg", gnp(10, 0.33, 1), 2, False, None, (1, 0, 0, 0)),
+    ("maxdeg", gnp(10, 0.33, 2), 2, False, None, (1, 0, 0, 0)),
+    ("maxdeg", gnp(10, 0.44, 0), 3, True, (0, 5, 6, 8), (1, 0, 0, 0)),
+    ("maxdeg", gnp(10, 0.44, 1), 3, False, None, (1, 0, 0, 0)),
+    ("maxdeg", gnp(10, 0.44, 2), 3, False, None, (8, 2, 5, 0)),
+    ("maxdeg", gnp(10, 0.56, 0), 4, True, (0, 1, 4, 5, 6, 8, 9), (2, 1, 0, 0)),
+    ("maxdeg", gnp(10, 0.56, 1), 4, True, (0, 1, 2, 3, 4, 5, 6, 7, 9), (1, 0, 0, 0)),
+    ("maxdeg", gnp(10, 0.56, 2), 4, True, (2, 3, 4, 6), (1, 0, 0, 0)),
+    ("mindeg", gnp(8, 0.5, 2), 1, True, (), (1, 0, 0, 0)),
+    ("mindeg", gnp(8, 0.5, 3), 1, True, (), (1, 0, 0, 0)),
+    ("mindeg", gnp(8, 0.5, 4), 1, True, (), (1, 0, 0, 0)),
+    ("mindeg", gnp(8, 0.5, 2), 2, True, (), (1, 0, 0, 0)),
+    ("mindeg", gnp(8, 0.5, 3), 2, True, (), (1, 0, 0, 0)),
+    ("mindeg", gnp(8, 0.5, 4), 2, True, (0, 7), (2, 1, 0, 0)),
+    ("mindeg", gnp(8, 0.5, 2), 3, True, (0, 2, 5), (1, 0, 0, 0)),
+    ("mindeg", gnp(8, 0.5, 3), 3, True, (0, 2, 4, 5), (2, 1, 0, 0)),
+    ("mindeg", gnp(8, 0.5, 4), 3, True, (0, 2, 7), (3, 2, 0, 0)),
+    ("mindeg", gnp(8, 0.5, 2), 4, False, None, (3, 1, 2, 0)),
+    ("mindeg", gnp(8, 0.5, 3), 4, True, (0, 1, 2, 4, 5), (3, 2, 0, 0)),
+    ("mindeg", gnp(8, 0.5, 4), 4, True, (2, 4, 5, 7), (1, 0, 0, 0)),
+    ("regular", gnp(10, 0.11, 0), 1, False, None, (1, 0, 1, 0)),
+    ("regular", gnp(10, 0.11, 1), 1, False, None, (1, 0, 0, 0)),
+    ("regular", gnp(10, 0.11, 2), 1, False, None, (1, 0, 1, 0)),
+    ("regular", gnp(10, 0.22, 0), 2, False, None, (1, 0, 1, 0)),
+    ("regular", gnp(10, 0.22, 1), 2, False, None, (1, 0, 1, 0)),
+    ("regular", gnp(10, 0.22, 2), 2, False, None, (1, 0, 1, 0)),
+    ("regular", gnp(10, 0.33, 0), 3, False, None, (1, 0, 1, 0)),
+    ("regular", gnp(10, 0.33, 1), 3, False, None, (16, 2, 10, 0)),
+    ("regular", gnp(10, 0.33, 2), 3, False, None, (5, 1, 4, 0)),
+    ("regular", gnp(10, 0.44, 0), 4, False, None, (3, 1, 2, 0)),
+    ("regular", gnp(10, 0.44, 1), 4, False, None, (3, 1, 2, 0)),
+    ("regular", gnp(10, 0.44, 2), 4, False, None, (15, 3, 4, 0)),
+    ("maxdeg", gnp(10, 0.44, 5), 3, True, (2, 3, 5, 7, 8, 9), (7, 3, 2, 1)),
+    ("maxdeg", gnp(10, 0.56, 4), 4, True, (0, 1, 3, 4, 5, 6, 8, 9), (3, 1, 0, 1)),
+    ("maxdeg", star(5), 2, True, (0, 1, 2, 3), (4, 3, 0, 0)),
+    ("maxdeg", star(6), 2, False, None, (57, 4, 15, 0)),
+    ("maxdeg", star(9), 3, False, None, (466, 6, 84, 0)),
+    ("regular", star(3), 1, True, (0, 1, 2), (3, 2, 0, 0)),
+    ("maxdeg", cycle(5), 1, False, None, (1, 0, 0, 0)),
+    ("regular", Graph(5, cycle(4).edges()), 2, True, (0, 1, 4), (1, 0, 0, 0)),
+    ("regular", Graph(7, cycle(6).edges()), 2, True, (0, 1, 6), (1, 0, 0, 0)),
+    ("mindeg", Graph(6, cycle(5).edges()), 2, True, (0, 1, 5), (3, 2, 0, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "target, g, k, answer, witness, counters",
+    PINNED_SEARCHES,
+    ids=[f"{row[0]}-{i}" for i, row in enumerate(PINNED_SEARCHES)],
+)
+def test_pinned_search(target, g, k, answer, witness, counters):
+    out = _SOLVERS[target](g, k)
+    assert (out.answer, out.witness) == (answer, witness)
+    assert tuple(asdict(out.stats).values()) == counters
+    assert out.nodes_explored == counters[0]
