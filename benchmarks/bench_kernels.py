@@ -11,7 +11,7 @@ import argparse
 import time
 from array import array
 
-from subcomp._kernels import REGULAR, has_compiled, pure
+from subcomp._kernels import BACKEND, REGULAR, pure
 from subcomp.families import gnp
 
 
@@ -46,7 +46,7 @@ def main():
     args = ap.parse_args()
 
     compiled = None
-    if has_compiled():
+    if BACKEND == "compiled":
         from subcomp._kernels import _ckernels as compiled
     else:
         print("compiled kernel unavailable; timing the pure kernel only")

@@ -4,14 +4,11 @@ The compiled Cython kernels are preferred when the extension built; the
 pure-Python module is the always-available fallback and the semantic
 reference.  Selection happens once at import, per-call dispatch only
 falls back for graphs the compiled path cannot represent (n > 64).
-
-Set SUBCOMP_FORCE_PURE=1 in the environment to skip the compiled kernels
-entirely (used by the benchmark and the backend-agreement tests).
+BACKEND names the kernel selected at import.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 
 from subcomp._kernels import pure
@@ -21,18 +18,12 @@ MAXDEG_AT_MOST = 0
 MINDEG_AT_LEAST = 1
 REGULAR = 2
 
-_compiled = None
-if not os.environ.get("SUBCOMP_FORCE_PURE"):
-    try:
-        from subcomp._kernels import _ckernels as _compiled  # type: ignore[no-redef]
-    except ImportError:
-        _compiled = None
+try:
+    from subcomp._kernels import _ckernels as _compiled
+except ImportError:
+    _compiled = None
 
 BACKEND = "compiled" if _compiled is not None else "pure"
-
-
-def has_compiled() -> bool:
-    return _compiled is not None
 
 
 def brute_force_search(rows, n: int, kind: int, k: int):

@@ -1,10 +1,12 @@
 """Command line front end: edge-list I/O, solver dispatch, JSON output.
 
 Graph files are plain text: a header line "n m", then m lines "u v", with
-blank lines and '#' comments ignored.  Decision subcommands print a single
-JSON object {"answer", "witness", "target", ...} and exit 0 on yes, 1 on
-no, 2 on bad input, 3 when the brute-force capacity guard refuses, and 4
-on an internal error (any other exception, reported on stderr, so that a
+blank lines and '#' comments ignored.  A header may declare at most
+MAX_VERTICES (32,768) vertices: adjacency rows are bitmasks, so n vertices
+can take up to n^2/8 bytes.  Decision subcommands print a single JSON
+object {"answer", "witness", "target", ...} and exit 0 on yes, 1 on no,
+2 on bad input, 3 when the brute-force capacity guard refuses, and 4 on
+an internal error (any other exception, reported on stderr, so that a
 crash is never read as "no").  Output is byte-deterministic: keys are
 sorted and witnesses are sorted id lists.
 """
@@ -37,6 +39,11 @@ from subcomp.solvers import (
 )
 
 
+# Largest n a header may declare: 2^15 vertices bound the adjacency rows at
+# 128 MB and leave room for the 10,000-vertex graphs of the cli_bulk workload.
+MAX_VERTICES = 1 << 15
+
+
 class GraphParseError(ValueError):
     """Malformed edge-list input; message carries a 1-based line number."""
 
@@ -44,9 +51,9 @@ class GraphParseError(ValueError):
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format into a Graph.
 
-    Endpoints are normalized to (min, max); self-loops, out-of-range ids,
-    duplicate edges, and edge-count mismatches are rejected with the line
-    number where they were noticed.
+    Endpoints are normalized to (min, max); headers above MAX_VERTICES,
+    self-loops, out-of-range ids, duplicate edges, and edge-count
+    mismatches are rejected with the line number where they were noticed.
     """
     n = m = -1
     edges: list[tuple[int, int]] = []
@@ -72,6 +79,10 @@ def parse_graph(text: str) -> Graph:
             if n < 0 or m < 0:
                 raise GraphParseError(
                     f"line {lineno}: header values must be non-negative"
+                )
+            if n > MAX_VERTICES:
+                raise GraphParseError(
+                    f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}"
                 )
             continue
         if len(edges) == m:
@@ -242,27 +253,6 @@ def _run(args: argparse.Namespace) -> int:
         return 2
 
     try:
-        if args.command == "maxdeg":
-            if args.k < 0:
-                raise ValueError("--k must be non-negative")
-            outcome = solve_max_deg_le(g, args.k)
-            _emit(_decision_payload(outcome, max_deg_at_most(args.k), args.stats))
-            return 0 if outcome.answer else 1
-
-        if args.command == "mindeg":
-            if args.k < 0:
-                raise ValueError("--k must be non-negative")
-            outcome = solve_min_deg_ge(g, args.k)
-            _emit(_decision_payload(outcome, min_deg_at_least(args.k), False))
-            return 0 if outcome.answer else 1
-
-        if args.command == "regular":
-            if args.k < 0:
-                raise ValueError("--k must be non-negative")
-            outcome = solve_k_regular(g, args.k)
-            _emit(_decision_payload(outcome, regular(args.k), args.stats))
-            return 0 if outcome.answer else 1
-
         if args.command == "approx-maxdeg":
             result = approx_min_max_degree(g)
             _emit(
@@ -273,29 +263,6 @@ def _run(args: argparse.Namespace) -> int:
                 }
             )
             return 0
-
-        if args.command == "brute":
-            target = _TARGETS[args.target](args.k)
-            try:
-                outcome = brute_force_solve(g, target, cap=args.cap)
-            except CapacityError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 3
-            _emit(_decision_payload(outcome, target, False))
-            return 0 if outcome.answer else 1
-
-        if args.command == "verify":
-            target = _TARGETS[args.target](args.k)
-            vertices = _parse_vertex_set(args.set)
-            ok = check(g, vertices, target)
-            _emit(
-                {
-                    "answer": "yes" if ok else "no",
-                    "witness": sorted(set(vertices)) if ok else None,
-                    "target": {"kind": target.kind.value, "k": target.k},
-                }
-            )
-            return 0 if ok else 1
 
         if args.command == "reduce":
             inst = build_crg_reduction(g, args.k)
@@ -330,11 +297,33 @@ def _run(args: argparse.Namespace) -> int:
                 }
             )
             return 0
+
+        # maxdeg, mindeg, regular, brute and verify: one verdict path.
+        target = _TARGETS[getattr(args, "target", None) or args.command](args.k)
+        if args.command == "verify":
+            vertices = _parse_vertex_set(args.set)
+            ok = check(g, vertices, target)
+            outcome = SolveOutcome(ok, tuple(sorted(set(vertices))) if ok else None, 1)
+        elif args.command == "brute":
+            try:
+                outcome = brute_force_solve(g, target, cap=args.cap)
+            except CapacityError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 3
+        else:
+            # Looked up on each call, so that patches of the module
+            # attributes (tests, the benchmark tracer) take effect.
+            solve = {
+                "maxdeg": solve_max_deg_le,
+                "mindeg": solve_min_deg_ge,
+                "regular": solve_k_regular,
+            }[args.command]
+            outcome = solve(g, args.k)
+        _emit(_decision_payload(outcome, target, getattr(args, "stats", False)))
+        return 0 if outcome.answer else 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def console_main() -> None:

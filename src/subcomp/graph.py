@@ -131,23 +131,6 @@ class Graph:
         """True iff every vertex has degree exactly k (vacuously on n=0)."""
         return all(r.bit_count() == k for r in self._rows)
 
-    def vertices_by_degree(self, relation: str, k: int) -> tuple[int, ...]:
-        """Vertices whose degree stands in `relation` to k.
-
-        `relation` is one of '<', '>', '=' (or '=='), '!=' (or '≠').
-        """
-        if relation == "<":
-            test = lambda d: d < k
-        elif relation == ">":
-            test = lambda d: d > k
-        elif relation in ("=", "=="):
-            test = lambda d: d == k
-        elif relation in ("!=", "≠"):
-            test = lambda d: d != k
-        else:
-            raise ValueError(f"unknown degree relation {relation!r}")
-        return tuple(v for v in range(self.n) if test(self._rows[v].bit_count()))
-
     # -- complementation -----------------------------------------------
 
     def subgraph_complement(self, vertices: Iterable[int]) -> "Graph":

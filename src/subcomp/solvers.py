@@ -236,15 +236,13 @@ def approx_min_max_degree(g: Graph) -> ApproxResult:
     degs = g.degrees()
     delta = max(degs)
     for k in range(g.n):
-        rmask = 0
-        for v in range(g.n):
-            if degs[v] > k:
-                rmask |= 1 << v
+        rmask = mask_of(v for v, d in enumerate(degs) if d > k)
         rsize = rmask.bit_count()
-        achieved = max(
-            g._degree_after_mask(rmask, rsize, v) for v in range(g.n)
-        )
-        if achieved <= k:
+        # Vertices outside R already have degree <= k, so scanning R decides.
+        if _first_violator(g, rmask, rsize, 0, k) < 0:
+            achieved = max(
+                g._degree_after_mask(rmask, rsize, v) for v in range(g.n)
+            )
             return ApproxResult(achieved, members_of(rmask), k)
         if delta > 3 * k:
             continue

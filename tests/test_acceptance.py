@@ -211,7 +211,8 @@ def test_criterion_6():
                 violations += 1
             if res.achieved_max_degree > 3 * opt:
                 violations += 1
-            if res.witness == g.vertices_by_degree(">", res.lower_bound_k):
+            high = tuple(v for v in range(g.n) if g.degree(v) > res.lower_bound_k)
+            if res.witness == high:
                 if res.achieved_max_degree != opt:
                     violations += 1
             elif opt < res.lower_bound_k:

@@ -6,7 +6,13 @@ import sys
 
 import pytest
 
-from subcomp.cli import GraphParseError, main, parse_graph, write_graph
+from subcomp.cli import (
+    MAX_VERTICES,
+    GraphParseError,
+    main,
+    parse_graph,
+    write_graph,
+)
 from subcomp.families import cycle, gnp, path, star
 from subcomp.graph import Graph
 
@@ -54,6 +60,11 @@ class TestParse:
     def test_negative_header(self):
         with pytest.raises(GraphParseError, match="non-negative"):
             parse_graph("-1 0\n")
+
+    def test_vertex_limit(self):
+        assert parse_graph(f"{MAX_VERTICES} 0\n").n == MAX_VERTICES
+        with pytest.raises(GraphParseError, match="line 1: .* exceed the limit"):
+            parse_graph(f"{MAX_VERTICES + 1} 0\n")
 
 
 class TestWrite:
@@ -197,9 +208,26 @@ class TestErrors:
         code, _, err = run_cli(capsys, ["maxdeg", "--k", "1", str(bad)])
         assert code == 2 and "line 2" in err
 
-    def test_negative_k(self, capsys, c5_file):
-        code, _, err = run_cli(capsys, ["maxdeg", "--k", "-1", c5_file])
-        assert code == 2
+    def test_header_over_vertex_limit(self, capsys, tmp_path):
+        big = tmp_path / "big.graph"
+        big.write_text(f"{MAX_VERTICES + 1} 0\n")
+        code, payload, err = run_cli(capsys, ["maxdeg", "--k", "1", str(big)])
+        assert code == 2 and payload is None and "line 1" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["maxdeg"],
+            ["mindeg"],
+            ["regular"],
+            ["brute", "--target", "maxdeg"],
+            ["verify", "--target", "maxdeg", "--set", "0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_k(self, capsys, c5_file, argv):
+        code, payload, err = run_cli(capsys, argv + ["--k", "-1", c5_file])
+        assert code == 2 and payload is None and "non-negative" in err
 
     def test_bad_set(self, capsys, c5_file):
         code, _, err = run_cli(
@@ -216,12 +244,24 @@ class TestErrors:
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
 
-    def test_internal_error_is_not_no(self, capsys, c5_file, monkeypatch):
+    @pytest.mark.parametrize(
+        "solver, command",
+        [
+            ("solve_max_deg_le", "maxdeg"),
+            ("solve_min_deg_ge", "mindeg"),
+            ("solve_k_regular", "regular"),
+        ],
+    )
+    def test_internal_error_is_not_no(
+        self, capsys, c5_file, monkeypatch, solver, command
+    ):
+        # The CLI must look its solvers up when called: a table captured at
+        # import would miss this patch and answer instead of exiting 4.
         def crash(g, k):
             raise RuntimeError("solver bug")
 
-        monkeypatch.setattr("subcomp.cli.solve_max_deg_le", crash)
-        code, payload, err = run_cli(capsys, ["maxdeg", "--k", "1", c5_file])
+        monkeypatch.setattr(f"subcomp.cli.{solver}", crash)
+        code, payload, err = run_cli(capsys, [command, "--k", "1", c5_file])
         assert code == 4 and payload is None
         assert "internal error" in err and "solver bug" in err
 

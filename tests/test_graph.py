@@ -145,28 +145,6 @@ class TestDegreeAfterComplement:
             assert g.degree_after_complement(s, v) >= bound
 
 
-class TestSelectors:
-    def test_k4_above_two(self):
-        assert complete(4).vertices_by_degree(">", 2) == (0, 1, 2, 3)
-
-    def test_k4_not_equal_three(self):
-        assert complete(4).vertices_by_degree("!=", 3) == ()
-
-    def test_star_above_one(self):
-        assert star(5).vertices_by_degree(">", 1) == (0,)
-
-    def test_all_relations(self):
-        g = path(3)  # degrees 1, 2, 1
-        assert g.vertices_by_degree("<", 2) == (0, 2)
-        assert g.vertices_by_degree("=", 2) == (1,)
-        assert g.vertices_by_degree("==", 1) == (0, 2)
-        assert g.vertices_by_degree("!=", 1) == (1,)
-
-    def test_bad_relation(self):
-        with pytest.raises(ValueError):
-            path(3).vertices_by_degree(">=", 1)
-
-
 class TestBall:
     def test_radius_zero(self):
         assert cycle(5).ball(2, 0) == (2,)

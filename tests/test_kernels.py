@@ -1,8 +1,5 @@
 """Pure and compiled kernels must be observably identical."""
 
-import subprocess
-import sys
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +9,6 @@ from subcomp._kernels import (
     MINDEG_AT_LEAST,
     REGULAR,
     brute_force_search,
-    has_compiled,
     min_max_degree,
     pure,
 )
@@ -22,13 +18,12 @@ from conftest import graphs
 KINDS = (MAXDEG_AT_MOST, MINDEG_AT_LEAST, REGULAR)
 
 needs_compiled = pytest.mark.skipif(
-    not has_compiled(), reason="compiled kernel not built"
+    BACKEND != "compiled", reason="compiled kernel not built"
 )
 
 
 def test_backend_consistent():
     assert BACKEND in ("pure", "compiled")
-    assert (BACKEND == "compiled") == has_compiled()
 
 
 @needs_compiled
@@ -71,15 +66,3 @@ def test_dispatch_small_graph():
     best, bmask = min_max_degree(rows, 3)
     assert best == 0 and bmask == 0b111
 
-
-def test_force_pure_env():
-    import os
-
-    out = subprocess.run(
-        [sys.executable, "-c", "import subcomp._kernels as k; print(k.BACKEND)"],
-        env=dict(os.environ, SUBCOMP_FORCE_PURE="1"),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "pure"

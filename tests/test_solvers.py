@@ -114,7 +114,7 @@ class TestSolveMaxDegLe:
         assert out.answer == brute_force_solve(g, max_deg_at_most(k)).answer
         if out.answer:
             assert check(g, out.witness, max_deg_at_most(k))
-            high = mask_of(g.vertices_by_degree(">", k))
+            high = mask_of(v for v in range(g.n) if g.degree(v) > k)
             assert high & mask_of(out.witness) == high
 
     @settings(max_examples=80, deadline=None)
@@ -129,7 +129,7 @@ class TestSolveMaxDegLe:
     def test_brute_witness_contains_all_high_vertices(self, g, k):
         out = brute_force_solve(g, max_deg_at_most(k))
         if out.answer:
-            high = set(g.vertices_by_degree(">", k))
+            high = {v for v in range(g.n) if g.degree(v) > k}
             assert high <= set(out.witness)
 
 
@@ -200,7 +200,8 @@ class TestApproxMinMaxDegree:
         assert achieved == res.achieved_max_degree
         opt, _ = brute_force_min_max_degree(g)
         assert res.achieved_max_degree <= 3 * opt
-        if res.witness == g.vertices_by_degree(">", res.lower_bound_k):
+        high = tuple(v for v in range(g.n) if g.degree(v) > res.lower_bound_k)
+        if res.witness == high:
             assert res.achieved_max_degree == opt
         else:
             assert opt >= res.lower_bound_k
@@ -257,7 +258,7 @@ class TestFindRegularExtension:
     def test_returned_completion_is_valid(self, g, k):
         if g.max_degree() > 3 * k:
             return
-        seeds = g.vertices_by_degree("!=", k)
+        seeds = tuple(v for v in range(g.n) if g.degree(v) != k)
         if not (0 < len(seeds) <= k):
             return
         c = find_regular_extension(g, seeds, k)
