@@ -186,16 +186,15 @@ def build_parser() -> argparse.ArgumentParser:
             help="edge-list file, or '-' for stdin (default)",
         )
 
-    for name, help_text, has_stats in (
-        ("maxdeg", "can max degree be brought to <= K?", True),
-        ("mindeg", "can min degree be brought to >= K?", False),
-        ("regular", "can the graph be made K-regular?", True),
+    for name, help_text in (
+        ("maxdeg", "can max degree be brought to <= K?"),
+        ("mindeg", "can min degree be brought to >= K?"),
+        ("regular", "can the graph be made K-regular?"),
     ):
         p = sub.add_parser(name, help=help_text)
         add_graph_arg(p)
         p.add_argument("--k", type=int, required=True)
-        if has_stats:
-            p.add_argument("--stats", action="store_true")
+        p.add_argument("--stats", action="store_true")
 
     p = sub.add_parser(
         "approx-maxdeg",

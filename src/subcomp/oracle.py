@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from subcomp import _kernels
 from subcomp.graph import Graph, members_of
+
+if TYPE_CHECKING:  # solvers imports this module
+    from subcomp.solvers import BranchStats
 
 DEFAULT_CAPACITY = 25
 
@@ -69,7 +73,7 @@ class SolveOutcome:
     answer: bool
     witness: tuple[int, ...] | None
     nodes_explored: int
-    stats: "object | None" = None  # BranchStats when a branching solver ran
+    stats: BranchStats | None = None  # set when a branching solver ran
 
     def __post_init__(self):
         if self.answer and self.witness is None:

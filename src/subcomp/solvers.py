@@ -12,8 +12,10 @@ complementation lands the graph in a bounded-degree class:
 Together these give a certified 3-approximation for minimizing the
 achievable max degree and one bounded-depth branching search, _search,
 that serves both exact decisions: it grows S from the forced violators up
-to |S| = 2k+1 on an explicit stack, and for the k-regular target also
-looks for a detached regular completion of each small enough set.  Since
+to |S| = 2k+1 on an explicit stack, drops every set with a member too far
+from the target to get there within that bound, and for the k-regular
+target also looks for a detached regular completion of each small enough
+set.  Since
 every search set contains all the input violators, one scan of S alone
 (_first_violator) decides whether a set is a witness.  All searches use
 fixed minimum-id orders so witnesses are deterministic and reproducible.
@@ -36,14 +38,17 @@ class BranchStats:
     sets evaluated (the start set included; the candidates of the detached
     completion are not counted), max_depth counts vertices added beyond the
     start set (bounded by 2k+1), pruned_by_size counts sets cut at the
-    |S| = 2k+1 cardinality bound, and pruned_by_maxdeg (max-degree search
-    only) counts sets whose minimum-id violator has no original neighbor
-    left outside the set, so no child can repair it.
+    |S| = 2k+1 cardinality bound, pruned_by_slack counts smaller sets with
+    a member whose degree lies further from the target range than the
+    2k+1 - |S| vertices still allowed can move it, and pruned_by_maxdeg
+    (max-degree search only) counts sets whose minimum-id violator has no
+    original neighbor left outside the set, so no child can repair it.
     """
 
     nodes: int = 0
     max_depth: int = 0
     pruned_by_size: int = 0
+    pruned_by_slack: int = 0
     pruned_by_maxdeg: int = 0
 
 
@@ -90,23 +95,36 @@ def trivial_high_max_degree_witness(g: Graph, k: int) -> tuple[int, ...] | None:
 # -- the shared branching search ----------------------------------------
 
 
-def _first_violator(g: Graph, smask: int, ssize: int, lo: int, hi: int) -> int:
+def _first_violator(
+    g: Graph, smask: int, ssize: int, lo: int, hi: int, slack: int = 0
+) -> tuple[int, int]:
     """Minimum-id member of S whose post-complementation degree leaves [lo, hi].
 
-    Returns -1 when every member complies.  Only S is scanned: a vertex
-    outside S keeps its degree, so the caller must know that those comply.
+    Returns (violator, worst): the violator is -1 when every member
+    complies, and worst is the largest distance of a member's degree from
+    [lo, hi] seen by the scan.  The scan stops as soon as worst exceeds
+    `slack`, so with the default 0 it ends at the first violator.  Only S
+    is scanned: a vertex outside S keeps its degree, so the caller must
+    know that those comply.
     """
     rows = g._rows
+    first = -1
+    worst = 0
     rest = smask
     while rest:
         low = rest & -rest
         v = low.bit_length() - 1
         row = rows[v]
         d = row.bit_count() + ssize - 1 - 2 * (row & smask).bit_count()
-        if d < lo or d > hi:
-            return v
+        excess = lo - d if d < lo else d - hi
+        if excess > worst:
+            if first < 0:
+                first = v
+            worst = excess
+            if worst > slack:
+                break
         rest ^= low
-    return -1
+    return first, worst
 
 
 def _search(g: Graph, k: int, smask: int, regular: bool) -> SolveOutcome:
@@ -115,20 +133,27 @@ def _search(g: Graph, k: int, smask: int, regular: bool) -> SolveOutcome:
     The start set holds every input violator (V_>k, or V_!=k when
     `regular`), and so does every set grown from it, which is what lets
     _first_violator scan S alone.  A set whose members all land in the
-    target range is the witness.  Otherwise its children add one vertex:
-    for max degree <= k an original neighbor of the minimum-id violator
-    (only that deletes one of its edges), for k-regular any neighbor of the
-    set, after a set of size <= k has first tried find_regular_extension.
-    Children are visited in increasing id and sets already seen are
-    skipped.  The stack holds one (set, size, untried children) frame per
-    level, so the depth is bounded by 2k+1 and not by the recursion limit.
+    target range is the witness.  Otherwise a set is pruned at the size
+    bound, or by slack: a solution strictly containing the failed start set
+    has at most 2k+1 vertices, and each vertex added to S moves the degree
+    of every member by exactly one, so when some member of S lies further
+    from the target range than 2k+1 - |S| no superset of S (detached
+    completions included) is a solution.  Supersets of a pruned set are
+    pruned too, so the prune skips no witness and changes none.  Surviving
+    sets get children that add one vertex: for max degree <= k an original
+    neighbor of the minimum-id violator (only that deletes one of its
+    edges), for k-regular any neighbor of the set, after a set of size <= k
+    has first tried find_regular_extension.  Children are visited in
+    increasing id and sets already seen are skipped.  The stack holds one
+    (set, size, untried children) frame per level, so the depth is bounded
+    by 2k+1 and not by the recursion limit.
     """
     lo = k if regular else 0
     rows = g._rows
     limit = 2 * k + 1
     stats = BranchStats(nodes=1)
     ssize = smask.bit_count()
-    viol = _first_violator(g, smask, ssize, lo, k)
+    viol, worst = _first_violator(g, smask, ssize, lo, k, limit - ssize)
     if viol < 0:
         return SolveOutcome(True, members_of(smask), stats.nodes, stats)
     # A solution would strictly contain the failed start set plus a vertex
@@ -140,14 +165,16 @@ def _search(g: Graph, k: int, smask: int, regular: bool) -> SolveOutcome:
     visited = {smask}
     stack = []
     while True:
-        if regular and ssize <= k:
-            completion = find_regular_extension(g, members_of(smask), k)
-            if completion is not None:
-                witness = members_of(smask | mask_of(completion))
-                return SolveOutcome(True, witness, stats.nodes, stats)
         if ssize >= limit:
             stats.pruned_by_size += 1
+        elif worst > limit - ssize:
+            stats.pruned_by_slack += 1
         elif regular:
+            if ssize <= k:
+                completion = find_regular_extension(g, members_of(smask), k)
+                if completion is not None:
+                    witness = members_of(smask | mask_of(completion))
+                    return SolveOutcome(True, witness, stats.nodes, stats)
             reach = 0
             for u in members_of(smask):
                 reach |= rows[u]
@@ -172,7 +199,7 @@ def _search(g: Graph, k: int, smask: int, regular: bool) -> SolveOutcome:
             stats.nodes += 1
             stats.max_depth = max(stats.max_depth, len(stack))
             ssize = psize + 1
-            viol = _first_violator(g, smask, ssize, lo, k)
+            viol, worst = _first_violator(g, smask, ssize, lo, k, limit - ssize)
             if viol < 0:
                 return SolveOutcome(True, members_of(smask), stats.nodes, stats)
             break
@@ -213,9 +240,9 @@ def solve_min_deg_ge(g: Graph, k: int) -> SolveOutcome:
     """
     n = g.n
     if n == 0 or k == 0:
-        return SolveOutcome(True, (), 1)
+        return SolveOutcome(True, (), 1, BranchStats(nodes=1))
     if k > n - 1:
-        return SolveOutcome(False, None, 1)
+        return SolveOutcome(False, None, 1, BranchStats(nodes=1))
     return solve_max_deg_le(g.complement(), n - k - 1)
 
 
@@ -239,7 +266,7 @@ def approx_min_max_degree(g: Graph) -> ApproxResult:
         rmask = mask_of(v for v, d in enumerate(degs) if d > k)
         rsize = rmask.bit_count()
         # Vertices outside R already have degree <= k, so scanning R decides.
-        if _first_violator(g, rmask, rsize, 0, k) < 0:
+        if _first_violator(g, rmask, rsize, 0, k)[0] < 0:
             achieved = max(
                 g._degree_after_mask(rmask, rsize, v) for v in range(g.n)
             )
@@ -261,9 +288,14 @@ def find_regular_extension(g: Graph, base, k: int) -> tuple[int, ...] | None:
     complementation every member of C becomes adjacent to all of the seed,
     so |C| <= k; and a connected candidate component lies within distance
     k-1 of any of its vertices, so for each eligible start vertex v only
-    subsets of the radius-(k-1) ball around v need checking.  Enumeration
-    is by start vertex, then subset size, then lexicographic order, and the
-    first verified completion wins.
+    subsets of the radius-(k-1) ball around v need checking.  Since C also
+    avoids the seed's neighborhood, every seed member b gains all of C and
+    keeps its own edges, ending with degree d(b) + |B| + |C| - 1 -
+    2|N(b) & B|; a non-empty seed B therefore fixes |C| (all its members
+    must agree on it, and it must lie in 1..k, or there is no completion),
+    and only an empty seed tries every size.  Enumeration is by start
+    vertex, then subset size, then lexicographic order, and the first
+    verified completion wins.
 
     The caller must have established: seed size <= k, input max degree
     <= 3k, and every connected component of the seed's induced subgraph
@@ -286,6 +318,16 @@ def find_regular_extension(g: Graph, base, k: int) -> tuple[int, ...] | None:
             )
     if k == 0:
         return None
+    # C avoids N(B), so each seed member b gains all of C and loses no edge:
+    # it ends with degree d(b) + |B| + |C| - 1 - 2|N(b) & B|, and a
+    # non-empty seed leaves at most one size of C to try.
+    wanted = {
+        k + 1 - bsize - degs[b] + 2 * (g._rows[b] & bmask).bit_count()
+        for b in members_of(bmask)
+    }
+    sizes = [c for c in range(1, k + 1) if not wanted or wanted == {c}]
+    if not sizes:
+        return None
 
     reach = 0
     for v in members_of(bmask):
@@ -300,12 +342,12 @@ def find_regular_extension(g: Graph, base, k: int) -> tuple[int, ...] | None:
             continue
         pool = [u for u in g.ball(v, k - 1) if u > v and not excluded >> u & 1]
         vbit = 1 << v
-        for csize in range(1, k + 1):
+        for csize in sizes:
             for tail in combinations(pool, csize - 1):
                 cmask = vbit | mask_of(tail)
                 if stray & ~cmask:
                     continue
-                if _first_violator(g, bmask | cmask, bsize + csize, k, k) < 0:
+                if _first_violator(g, bmask | cmask, bsize + csize, k, k)[0] < 0:
                     return members_of(cmask)
     return None
 
@@ -317,9 +359,9 @@ def solve_k_regular(g: Graph, k: int) -> SolveOutcome:
     components each touch V_!=k plus at most one detached component C that
     find_regular_extension can recover whenever |S'| <= k.  The search
     therefore grows S' from V_!=k one neighbor at a time; at each set it
-    first tests the set itself, then tries the detached completion, prunes
-    at the |S| <= 2k+1 cardinality bound, and otherwise branches on the
-    neighbors of the current set in increasing id.  The direct test of
+    first tests the set itself, prunes at the |S| <= 2k+1 cardinality
+    bound or by slack, then tries the detached completion, and otherwise
+    branches on the neighbors of the current set in increasing id.  The direct test of
     V_!=k runs before the max-degree-3k refutation because that single
     candidate is the one solution shape the cardinality bound does not
     cover.

@@ -123,6 +123,33 @@ class TestSubcommands:
         code, payload, _ = run_cli(capsys, ["mindeg", "--k", "3", c5_file])
         assert payload["target"] == {"k": 3, "kind": "mindeg"}
         assert (code == 0) == (payload["answer"] == "yes")
+        assert "stats" not in payload
+
+    @pytest.mark.parametrize("k", [0, 3, 4, 8])
+    def test_mindeg_stats_match_dual_maxdeg(self, capsys, tmp_path, k):
+        # k = 0 and k > n - 1 are answered without a search, at one node
+        g = gnp(8, 0.5, 4)
+        own, dual = tmp_path / "g.graph", tmp_path / "co.graph"
+        own.write_text(write_graph(g))
+        dual.write_text(write_graph(g.complement()))
+        code, payload, _ = run_cli(
+            capsys, ["mindeg", "--k", str(k), "--stats", str(own)]
+        )
+        if 0 < k <= g.n - 1:
+            twin = run_cli(
+                capsys, ["maxdeg", "--k", str(g.n - 1 - k), "--stats", str(dual)]
+            )
+            assert code == twin[0]
+            assert payload["witness"] == twin[1]["witness"]
+            assert payload["stats"] == twin[1]["stats"]
+        else:
+            assert payload["stats"] == {
+                "max_depth": 0,
+                "nodes": 1,
+                "pruned_by_maxdeg": 0,
+                "pruned_by_size": 0,
+                "pruned_by_slack": 0,
+            }
 
     def test_stdin_default(self, capsys, monkeypatch):
         code, payload, _ = run_cli(

@@ -1,6 +1,7 @@
 """Branching solvers against the brute-force oracle, plus witness structure."""
 
 import inspect
+import random
 import sys
 from dataclasses import asdict
 from itertools import combinations
@@ -248,6 +249,17 @@ class TestFindRegularExtension:
         g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
         assert find_regular_extension(g, (0,), 2) is None
 
+    def test_empty_seed_tries_every_size(self):
+        # K4 minus the edge 01: complementing {0, 1} alone restores K4, a
+        # completion of 2 < k vertices that no seed member pins down
+        g = Graph(4, [e for e in complete(4).edges() if e != (0, 1)])
+        assert find_regular_extension(g, (), 3) == (0, 1)
+
+    def test_seed_members_disagree_on_size(self):
+        # 0 (degree 1) needs |C| = 2 and 1 (degree 2) needs |C| = 1
+        g = Graph(7, [(0, 2), (1, 3), (1, 4)])
+        assert find_regular_extension(g, (0, 1), 4) is None
+
     def test_k0_no_completion(self):
         # only the empty seed fits when k = 0, and no non-empty detached
         # set can exist, so the search degenerates to "absent"
@@ -316,67 +328,141 @@ _SOLVERS = {
     "regular": solve_k_regular,
 }
 
+_PREDICATES = {
+    "maxdeg": max_deg_at_most,
+    "mindeg": min_deg_at_least,
+    "regular": regular,
+}
+
+
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_matches_brute_beyond_hypothesis_sizes(n):
+    # 48 seeded G(n, p) graphs per n, p from 1/9 to 8/9, none filtered out
+    for seed in range(48):
+        g = gnp(n, (seed % 8 + 1) / 9, 1000 * n + seed)
+        for target, predicate in _PREDICATES.items():
+            for k in range(5):
+                out = _SOLVERS[target](g, k)
+                ref = brute_force_solve(g, predicate(k))
+                assert out.answer == ref.answer, (seed, target, k)
+                if out.answer:
+                    assert check(g, out.witness, predicate(k))
+
+
+def _near_regular(n, d, seed, removed=0, added=0):
+    """Seeded random d-regular graph, then perturbed.
+
+    The d-regular graph is the union of d // 2 random Hamiltonian cycles
+    (plus a random perfect matching when d is odd), redrawn until no edge
+    repeats.  Then `removed` vertex-disjoint edges are deleted and `added`
+    random non-edges inserted.
+    """
+    rng = random.Random(seed)
+    while True:
+        edges = set()
+        for _ in range(d // 2):
+            order = rng.sample(range(n), n)
+            edges.update(tuple(sorted(e)) for e in zip(order, order[1:] + order[:1]))
+        if d % 2:
+            order = rng.sample(range(n), n)
+            edges.update(tuple(sorted(order[i:i + 2])) for i in range(0, n, 2))
+        if len(edges) == n * d // 2:
+            break
+    touched = set()
+    for e in rng.sample(sorted(edges), len(edges)):
+        if len(touched) == 2 * removed:
+            break
+        if touched.isdisjoint(e):
+            edges.remove(e)
+            touched.update(e)
+    while added:
+        e = tuple(sorted(rng.sample(range(n), 2)))
+        if e not in edges:
+            edges.add(e)
+            added -= 1
+    return Graph(n, sorted(edges))
+
+
+def _planted(n, k, size, seed):
+    """A seeded k-regular graph complemented on a connected set of `size` vertices."""
+    g = _near_regular(n, k, seed)
+    rng = random.Random(seed)
+    part = {rng.randrange(n)}
+    while len(part) < size:
+        frontier = sorted(set().union(*(g.neighbors(v) for v in part)) - part)
+        part.add(rng.choice(frontier))
+    return g.subgraph_complement(sorted(part))
+
+
 # (target, graph, k, answer, witness, (nodes, max_depth, pruned_by_size,
-# pruned_by_maxdeg)), recorded from the recursive searches that the one
-# iterative core replaced.  The order children are visited in decides the
-# witness and every counter, so this table pins that order.
+# pruned_by_slack, pruned_by_maxdeg), nodes before the slack prune).  The
+# answers and witnesses were recorded from the recursive searches that the
+# one iterative core replaced (the last four rows from the core before the
+# slack prune and the fixed completion size), and the counters from the
+# search with both.  The order children are visited in decides the witness
+# and every counter, so this table pins that order; pruning must never
+# visit more sets than the search without it.
 PINNED_SEARCHES = [
-    ("maxdeg", gnp(10, 0.22, 0), 1, True, (5, 6), (1, 0, 0, 0)),
-    ("maxdeg", gnp(10, 0.22, 1), 1, False, None, (1, 0, 0, 0)),
-    ("maxdeg", gnp(10, 0.22, 2), 1, False, None, (1, 0, 0, 0)),
-    ("maxdeg", gnp(10, 0.33, 0), 2, False, None, (8, 2, 5, 0)),
-    ("maxdeg", gnp(10, 0.33, 1), 2, False, None, (1, 0, 0, 0)),
-    ("maxdeg", gnp(10, 0.33, 2), 2, False, None, (1, 0, 0, 0)),
-    ("maxdeg", gnp(10, 0.44, 0), 3, True, (0, 5, 6, 8), (1, 0, 0, 0)),
-    ("maxdeg", gnp(10, 0.44, 1), 3, False, None, (1, 0, 0, 0)),
-    ("maxdeg", gnp(10, 0.44, 2), 3, False, None, (8, 2, 5, 0)),
-    ("maxdeg", gnp(10, 0.56, 0), 4, True, (0, 1, 4, 5, 6, 8, 9), (2, 1, 0, 0)),
-    ("maxdeg", gnp(10, 0.56, 1), 4, True, (0, 1, 2, 3, 4, 5, 6, 7, 9), (1, 0, 0, 0)),
-    ("maxdeg", gnp(10, 0.56, 2), 4, True, (2, 3, 4, 6), (1, 0, 0, 0)),
-    ("mindeg", gnp(8, 0.5, 2), 1, True, (), (1, 0, 0, 0)),
-    ("mindeg", gnp(8, 0.5, 3), 1, True, (), (1, 0, 0, 0)),
-    ("mindeg", gnp(8, 0.5, 4), 1, True, (), (1, 0, 0, 0)),
-    ("mindeg", gnp(8, 0.5, 2), 2, True, (), (1, 0, 0, 0)),
-    ("mindeg", gnp(8, 0.5, 3), 2, True, (), (1, 0, 0, 0)),
-    ("mindeg", gnp(8, 0.5, 4), 2, True, (0, 7), (2, 1, 0, 0)),
-    ("mindeg", gnp(8, 0.5, 2), 3, True, (0, 2, 5), (1, 0, 0, 0)),
-    ("mindeg", gnp(8, 0.5, 3), 3, True, (0, 2, 4, 5), (2, 1, 0, 0)),
-    ("mindeg", gnp(8, 0.5, 4), 3, True, (0, 2, 7), (3, 2, 0, 0)),
-    ("mindeg", gnp(8, 0.5, 2), 4, False, None, (3, 1, 2, 0)),
-    ("mindeg", gnp(8, 0.5, 3), 4, True, (0, 1, 2, 4, 5), (3, 2, 0, 0)),
-    ("mindeg", gnp(8, 0.5, 4), 4, True, (2, 4, 5, 7), (1, 0, 0, 0)),
-    ("regular", gnp(10, 0.11, 0), 1, False, None, (1, 0, 1, 0)),
-    ("regular", gnp(10, 0.11, 1), 1, False, None, (1, 0, 0, 0)),
-    ("regular", gnp(10, 0.11, 2), 1, False, None, (1, 0, 1, 0)),
-    ("regular", gnp(10, 0.22, 0), 2, False, None, (1, 0, 1, 0)),
-    ("regular", gnp(10, 0.22, 1), 2, False, None, (1, 0, 1, 0)),
-    ("regular", gnp(10, 0.22, 2), 2, False, None, (1, 0, 1, 0)),
-    ("regular", gnp(10, 0.33, 0), 3, False, None, (1, 0, 1, 0)),
-    ("regular", gnp(10, 0.33, 1), 3, False, None, (16, 2, 10, 0)),
-    ("regular", gnp(10, 0.33, 2), 3, False, None, (5, 1, 4, 0)),
-    ("regular", gnp(10, 0.44, 0), 4, False, None, (3, 1, 2, 0)),
-    ("regular", gnp(10, 0.44, 1), 4, False, None, (3, 1, 2, 0)),
-    ("regular", gnp(10, 0.44, 2), 4, False, None, (15, 3, 4, 0)),
-    ("maxdeg", gnp(10, 0.44, 5), 3, True, (2, 3, 5, 7, 8, 9), (7, 3, 2, 1)),
-    ("maxdeg", gnp(10, 0.56, 4), 4, True, (0, 1, 3, 4, 5, 6, 8, 9), (3, 1, 0, 1)),
-    ("maxdeg", star(5), 2, True, (0, 1, 2, 3), (4, 3, 0, 0)),
-    ("maxdeg", star(6), 2, False, None, (57, 4, 15, 0)),
-    ("maxdeg", star(9), 3, False, None, (466, 6, 84, 0)),
-    ("regular", star(3), 1, True, (0, 1, 2), (3, 2, 0, 0)),
-    ("maxdeg", cycle(5), 1, False, None, (1, 0, 0, 0)),
-    ("regular", Graph(5, cycle(4).edges()), 2, True, (0, 1, 4), (1, 0, 0, 0)),
-    ("regular", Graph(7, cycle(6).edges()), 2, True, (0, 1, 6), (1, 0, 0, 0)),
-    ("mindeg", Graph(6, cycle(5).edges()), 2, True, (0, 1, 5), (3, 2, 0, 0)),
+    ("maxdeg", gnp(10, 0.22, 0), 1, True, (5, 6), (1, 0, 0, 0, 0), 1),
+    ("maxdeg", gnp(10, 0.22, 1), 1, False, None, (1, 0, 0, 0, 0), 1),
+    ("maxdeg", gnp(10, 0.22, 2), 1, False, None, (1, 0, 0, 0, 0), 1),
+    ("maxdeg", gnp(10, 0.33, 0), 2, False, None, (5, 2, 2, 1, 0), 8),
+    ("maxdeg", gnp(10, 0.33, 1), 2, False, None, (1, 0, 0, 0, 0), 1),
+    ("maxdeg", gnp(10, 0.33, 2), 2, False, None, (1, 0, 0, 0, 0), 1),
+    ("maxdeg", gnp(10, 0.44, 0), 3, True, (0, 5, 6, 8), (1, 0, 0, 0, 0), 1),
+    ("maxdeg", gnp(10, 0.44, 1), 3, False, None, (1, 0, 0, 0, 0), 1),
+    ("maxdeg", gnp(10, 0.44, 2), 3, False, None, (1, 0, 0, 1, 0), 8),
+    ("maxdeg", gnp(10, 0.56, 0), 4, True, (0, 1, 4, 5, 6, 8, 9), (2, 1, 0, 0, 0), 2),
+    ("maxdeg", gnp(10, 0.56, 1), 4, True, (0, 1, 2, 3, 4, 5, 6, 7, 9), (1, 0, 0, 0, 0), 1),
+    ("maxdeg", gnp(10, 0.56, 2), 4, True, (2, 3, 4, 6), (1, 0, 0, 0, 0), 1),
+    ("mindeg", gnp(8, 0.5, 2), 1, True, (), (1, 0, 0, 0, 0), 1),
+    ("mindeg", gnp(8, 0.5, 3), 1, True, (), (1, 0, 0, 0, 0), 1),
+    ("mindeg", gnp(8, 0.5, 4), 1, True, (), (1, 0, 0, 0, 0), 1),
+    ("mindeg", gnp(8, 0.5, 2), 2, True, (), (1, 0, 0, 0, 0), 1),
+    ("mindeg", gnp(8, 0.5, 3), 2, True, (), (1, 0, 0, 0, 0), 1),
+    ("mindeg", gnp(8, 0.5, 4), 2, True, (0, 7), (2, 1, 0, 0, 0), 2),
+    ("mindeg", gnp(8, 0.5, 2), 3, True, (0, 2, 5), (1, 0, 0, 0, 0), 1),
+    ("mindeg", gnp(8, 0.5, 3), 3, True, (0, 2, 4, 5), (2, 1, 0, 0, 0), 2),
+    ("mindeg", gnp(8, 0.5, 4), 3, True, (0, 2, 7), (3, 2, 0, 0, 0), 3),
+    ("mindeg", gnp(8, 0.5, 2), 4, False, None, (1, 0, 0, 1, 0), 3),
+    ("mindeg", gnp(8, 0.5, 3), 4, True, (0, 1, 2, 4, 5), (3, 2, 0, 0, 0), 3),
+    ("mindeg", gnp(8, 0.5, 4), 4, True, (2, 4, 5, 7), (1, 0, 0, 0, 0), 1),
+    ("regular", gnp(10, 0.11, 0), 1, False, None, (1, 0, 1, 0, 0), 1),
+    ("regular", gnp(10, 0.11, 1), 1, False, None, (1, 0, 0, 0, 0), 1),
+    ("regular", gnp(10, 0.11, 2), 1, False, None, (1, 0, 1, 0, 0), 1),
+    ("regular", gnp(10, 0.22, 0), 2, False, None, (1, 0, 1, 0, 0), 1),
+    ("regular", gnp(10, 0.22, 1), 2, False, None, (1, 0, 1, 0, 0), 1),
+    ("regular", gnp(10, 0.22, 2), 2, False, None, (1, 0, 1, 0, 0), 1),
+    ("regular", gnp(10, 0.33, 0), 3, False, None, (1, 0, 1, 0, 0), 1),
+    ("regular", gnp(10, 0.33, 1), 3, False, None, (1, 0, 0, 1, 0), 16),
+    ("regular", gnp(10, 0.33, 2), 3, False, None, (1, 0, 0, 1, 0), 5),
+    ("regular", gnp(10, 0.44, 0), 4, False, None, (1, 0, 0, 1, 0), 3),
+    ("regular", gnp(10, 0.44, 1), 4, False, None, (1, 0, 0, 1, 0), 3),
+    ("regular", gnp(10, 0.44, 2), 4, False, None, (5, 1, 0, 4, 0), 15),
+    ("maxdeg", gnp(10, 0.44, 5), 3, True, (2, 3, 5, 7, 8, 9), (5, 2, 0, 2, 0), 7),
+    ("maxdeg", gnp(10, 0.56, 4), 4, True, (0, 1, 3, 4, 5, 6, 8, 9), (3, 1, 0, 0, 1), 3),
+    ("maxdeg", star(5), 2, True, (0, 1, 2, 3), (4, 3, 0, 0, 0), 4),
+    ("maxdeg", star(6), 2, False, None, (57, 4, 15, 0, 0), 57),
+    ("maxdeg", star(9), 3, False, None, (466, 6, 84, 0, 0), 466),
+    ("regular", star(3), 1, True, (0, 1, 2), (3, 2, 0, 0, 0), 3),
+    ("maxdeg", cycle(5), 1, False, None, (1, 0, 0, 0, 0), 1),
+    ("regular", Graph(5, cycle(4).edges()), 2, True, (0, 1, 4), (1, 0, 0, 0, 0), 1),
+    ("regular", Graph(7, cycle(6).edges()), 2, True, (0, 1, 6), (1, 0, 0, 0, 0), 1),
+    ("mindeg", Graph(6, cycle(5).edges()), 2, True, (0, 1, 5), (3, 2, 0, 0, 0), 3),
+    ("regular", _near_regular(30, 4, 0, removed=2), 4, False, None, (85, 2, 0, 73, 0), 9992),
+    ("regular", _near_regular(30, 4, 1, removed=2), 4, False, None, (89, 2, 0, 77, 0), 11434),
+    ("regular", _planted(30, 4, 3, 0), 4, True, (0, 3, 27), (1, 0, 0, 0, 0), 1),
+    ("maxdeg", _near_regular(40, 5, 3, added=2), 5, False, None, (148, 5, 0, 97, 0), 1817),
 ]
 
 
 @pytest.mark.parametrize(
-    "target, g, k, answer, witness, counters",
+    "target, g, k, answer, witness, counters, unpruned_nodes",
     PINNED_SEARCHES,
     ids=[f"{row[0]}-{i}" for i, row in enumerate(PINNED_SEARCHES)],
 )
-def test_pinned_search(target, g, k, answer, witness, counters):
+def test_pinned_search(target, g, k, answer, witness, counters, unpruned_nodes):
     out = _SOLVERS[target](g, k)
     assert (out.answer, out.witness) == (answer, witness)
     assert tuple(asdict(out.stats).values()) == counters
-    assert out.nodes_explored == counters[0]
+    assert out.nodes_explored == counters[0] <= unpruned_nodes
