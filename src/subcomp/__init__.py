@@ -36,7 +36,6 @@ from subcomp.solvers import (
     ApproxResult,
     BranchStats,
     approx_min_max_degree,
-    find_regular_extension,
     solve_k_regular,
     solve_max_deg_le,
     solve_min_deg_ge,
@@ -66,7 +65,6 @@ __all__ = [
     "extract_clique",
     "find_clique",
     "find_cliques",
-    "find_regular_extension",
     "forward_witness",
     "mask_of",
     "max_deg_at_most",

@@ -3,12 +3,13 @@
 Graph files are plain text: a header line "n m", then m lines "u v", with
 blank lines and '#' comments ignored.  A header may declare at most
 MAX_VERTICES (32,768) vertices: adjacency rows are bitmasks, so n vertices
-can take up to n^2/8 bytes.  Decision subcommands print a single JSON
-object {"answer", "witness", "target", ...} and exit 0 on yes, 1 on no,
-2 on bad input, 3 when the brute-force capacity guard refuses, and 4 on
-an internal error (any other exception, reported on stderr, so that a
-crash is never read as "no").  Output is byte-deterministic: keys are
-sorted and witnesses are sorted id lists.
+can take up to n^2/8 bytes; `reduce` refuses, with exit 2, a gadget that
+would be larger.  Decision subcommands print a single JSON object
+{"answer", "witness", "target", ...} and exit 0 on yes, 1 on no, 2 on bad
+input, 3 when the brute-force capacity guard refuses, and 4 on an
+internal error (any other exception, reported on stderr, so that a crash
+is never read as "no").  Output is byte-deterministic: keys are sorted
+and witnesses are sorted id lists.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from subcomp.graph import Graph
+from subcomp.graph import MAX_VERTICES, Graph
 from subcomp.oracle import (
     DEFAULT_CAPACITY,
     CapacityError,
@@ -37,11 +38,6 @@ from subcomp.solvers import (
     solve_max_deg_le,
     solve_min_deg_ge,
 )
-
-
-# Largest n a header may declare: 2^15 vertices bound the adjacency rows at
-# 128 MB and leave room for the 10,000-vertex graphs of the cli_bulk workload.
-MAX_VERTICES = 1 << 15
 
 
 class GraphParseError(ValueError):

@@ -14,6 +14,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+# Largest vertex count that the CLI reads from a header and that the
+# hardness gadget may build: rows are bitmasks, so n vertices can take
+# n^2/8 bytes (128 MB at 2^15), and the 10,000-vertex graphs of the
+# cli_bulk benchmark workload still fit.
+MAX_VERTICES = 1 << 15
+
 
 def mask_of(vertices: Iterable[int]) -> int:
     """Pack an iterable of vertex ids into a bitmask."""
@@ -110,14 +116,6 @@ class Graph:
         """Closed neighborhood N[v] = N(v) plus v itself."""
         self._check_vertex(v)
         return members_of(self._rows[v] | 1 << v)
-
-    def set_neighborhood(self, vertices: Iterable[int]) -> tuple[int, ...]:
-        """Open neighborhood N(S): all vertices outside S adjacent to S."""
-        smask = self._subset_mask(vertices)
-        acc = 0
-        for v in members_of(smask):
-            acc |= self._rows[v]
-        return members_of(acc & ~smask)
 
     def max_degree(self) -> int:
         """Maximum degree; 0 on the empty graph."""

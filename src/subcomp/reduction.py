@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from subcomp.graph import Graph, members_of
+from subcomp.graph import MAX_VERTICES, Graph, members_of
 from subcomp.oracle import check, max_deg_at_most
 
 
@@ -72,6 +72,8 @@ def build_crg_reduction(g: Graph, k: int) -> ReductionInstance | None:
     trivially-no instance and no gadget exists for it (the block size b
     would go negative).  Requires k < n and r < n-1; a complete source
     graph makes the question trivial and the construction degenerate.
+    A gadget above MAX_VERTICES vertices (n + t + s + t*a + s*b) raises
+    ValueError before any edge is built.
     """
     if k < 0:
         raise ValueError(f"clique size must be non-negative, got {k}")
@@ -96,6 +98,11 @@ def build_crg_reduction(g: Graph, k: int) -> ReductionInstance | None:
     a = r + 1
     b = n + r - 2 * k + 1
     k_prime = n + r - k + 1
+    size = n + t + s + t * a + s * b
+    if size > MAX_VERTICES:
+        raise ValueError(
+            f"the gadget would have {size} vertices, more than {MAX_VERTICES}"
+        )
 
     edges = list(g.edges())
     kt_lo, kt_hi = n, n + t

@@ -15,10 +15,10 @@ that serves both exact decisions: it grows S from the forced violators up
 to |S| = 2k+1 on an explicit stack, drops every set with a member too far
 from the target to get there within that bound, and for the k-regular
 target also looks for a detached regular completion of each small enough
-set.  Since
-every search set contains all the input violators, one scan of S alone
-(_first_violator) decides whether a set is a witness.  All searches use
-fixed minimum-id orders so witnesses are deterministic and reproducible.
+set.  Since every search set contains all the input violators, one scan
+of S alone (_first_violator) decides whether a set is a witness.  All
+searches use fixed minimum-id orders so witnesses are deterministic and
+reproducible.
 """
 
 from __future__ import annotations
@@ -170,15 +170,15 @@ def _search(g: Graph, k: int, smask: int, regular: bool) -> SolveOutcome:
         elif worst > limit - ssize:
             stats.pruned_by_slack += 1
         elif regular:
-            if ssize <= k:
-                completion = find_regular_extension(g, members_of(smask), k)
-                if completion is not None:
-                    witness = members_of(smask | mask_of(completion))
-                    return SolveOutcome(True, witness, stats.nodes, stats)
-            reach = 0
+            near = smask
             for u in members_of(smask):
-                reach |= rows[u]
-            stack.append((smask, ssize, reach & ~smask))
+                near |= rows[u]
+            if ssize <= k:
+                cmask = find_regular_extension(g, smask, ssize, near, k)
+                if cmask:
+                    witness = members_of(smask | cmask)
+                    return SolveOutcome(True, witness, stats.nodes, stats)
+            stack.append((smask, ssize, near & ~smask))
         elif rows[viol] & ~smask:
             stack.append((smask, ssize, rows[viol] & ~smask))
         else:
@@ -280,76 +280,45 @@ def approx_min_max_degree(g: Graph) -> ApproxResult:
 # -- k-regular ----------------------------------------------------------
 
 
-def find_regular_extension(g: Graph, base, k: int) -> tuple[int, ...] | None:
-    """Detached completion of a seed set for the k-regular target.
+def find_regular_extension(
+    g: Graph, smask: int, ssize: int, near: int, k: int
+) -> int:
+    """Detached completion of a search set S for the k-regular target.
 
-    Looks for a non-empty C, disjoint from the seed and its neighborhood,
-    with complementing seed + C making the graph k-regular.  After the
-    complementation every member of C becomes adjacent to all of the seed,
-    so |C| <= k; and a connected candidate component lies within distance
-    k-1 of any of its vertices, so for each eligible start vertex v only
-    subsets of the radius-(k-1) ball around v need checking.  Since C also
-    avoids the seed's neighborhood, every seed member b gains all of C and
-    keeps its own edges, ending with degree d(b) + |B| + |C| - 1 -
-    2|N(b) & B|; a non-empty seed B therefore fixes |C| (all its members
-    must agree on it, and it must lie in 1..k, or there is no completion),
-    and only an empty seed tries every size.  Enumeration is by start
-    vertex, then subset size, then lexicographic order, and the first
-    verified completion wins.
+    Returns the mask of the first non-empty C, disjoint from N[S] (given as
+    the mask `near`), such that complementing S + C makes the graph
+    k-regular, or 0 when there is none.  This is a step of _search, which
+    calls it only when S is non-empty, holds every vertex of degree != k,
+    has |S| = `ssize` <= k, and the input max degree is at most 3k.
 
-    The caller must have established: seed size <= k, input max degree
-    <= 3k, and every connected component of the seed's induced subgraph
-    containing a vertex of degree != k.  Violations raise ValueError.
+    After the complementation every member of C becomes adjacent to all of
+    S, so |C| <= k; and a connected C lies within distance k-1 of any of
+    its vertices, so for each start vertex v only subsets of the
+    radius-(k-1) ball around v need checking.  Since C avoids N(S), every
+    member b of S gains all of C and keeps its own edges, ending with
+    degree d(b) + |S| + |C| - 1 - 2|N(b) & S|: the members must agree on
+    one |C| in 1..k, or there is no completion.  Vertices outside S + C
+    keep their degree k, so scanning S + C decides.  Enumeration is by
+    start vertex, then lexicographic order, and the first verified
+    completion wins.
     """
-    bmask = g._subset_mask(base)
-    bsize = bmask.bit_count()
-    if bsize > k:
-        raise ValueError(f"seed set has {bsize} vertices, more than k = {k}")
-    if g.max_degree() > 3 * k:
-        raise ValueError(
-            f"max degree {g.max_degree()} exceeds 3k = {3 * k}; no k-regular "
-            "complement exists and the caller should have answered no"
-        )
-    degs = g.degrees()
-    for comp in g.components_within(members_of(bmask)):
-        if all(degs[v] == k for v in comp):
-            raise ValueError(
-                f"seed component {comp} contains only degree-{k} vertices"
-            )
-    if k == 0:
-        return None
-    # C avoids N(B), so each seed member b gains all of C and loses no edge:
-    # it ends with degree d(b) + |B| + |C| - 1 - 2|N(b) & B|, and a
-    # non-empty seed leaves at most one size of C to try.
-    wanted = {
-        k + 1 - bsize - degs[b] + 2 * (g._rows[b] & bmask).bit_count()
-        for b in members_of(bmask)
+    rows = g._rows
+    sizes = {
+        k + 1 - ssize - rows[b].bit_count() + 2 * (rows[b] & smask).bit_count()
+        for b in members_of(smask)
     }
-    sizes = [c for c in range(1, k + 1) if not wanted or wanted == {c}]
-    if not sizes:
-        return None
-
-    reach = 0
-    for v in members_of(bmask):
-        reach |= g._rows[v]
-    excluded = (reach | bmask) & ((1 << g.n) - 1)
-    # Degree-!=k vertices outside the seed keep their degree unless C takes
-    # them in; with them inside seed + C, _first_violator can scan S alone.
-    stray = mask_of(v for v in range(g.n) if degs[v] != k) & ~bmask
-
+    csize = sizes.pop()
+    if sizes or not 1 <= csize <= k:
+        return 0
     for v in range(g.n):
-        if excluded >> v & 1:
+        if near >> v & 1:
             continue
-        pool = [u for u in g.ball(v, k - 1) if u > v and not excluded >> u & 1]
-        vbit = 1 << v
-        for csize in sizes:
-            for tail in combinations(pool, csize - 1):
-                cmask = vbit | mask_of(tail)
-                if stray & ~cmask:
-                    continue
-                if _first_violator(g, bmask | cmask, bsize + csize, k, k)[0] < 0:
-                    return members_of(cmask)
-    return None
+        pool = [u for u in g.ball(v, k - 1) if u > v and not near >> u & 1]
+        for tail in combinations(pool, csize - 1):
+            cmask = 1 << v | mask_of(tail)
+            if _first_violator(g, smask | cmask, ssize + csize, k, k)[0] < 0:
+                return cmask
+    return 0
 
 
 def solve_k_regular(g: Graph, k: int) -> SolveOutcome:
@@ -361,14 +330,13 @@ def solve_k_regular(g: Graph, k: int) -> SolveOutcome:
     therefore grows S' from V_!=k one neighbor at a time; at each set it
     first tests the set itself, prunes at the |S| <= 2k+1 cardinality
     bound or by slack, then tries the detached completion, and otherwise
-    branches on the neighbors of the current set in increasing id.  The direct test of
-    V_!=k runs before the max-degree-3k refutation because that single
-    candidate is the one solution shape the cardinality bound does not
-    cover.
+    branches on the neighbors of the current set in increasing id.  The
+    direct test of V_!=k runs before the max-degree-3k refutation because
+    that single candidate is the one solution shape the cardinality bound
+    does not cover; an already k-regular graph (the empty graph included)
+    passes it with the empty witness.
     """
-    if g.is_regular(k):
-        return SolveOutcome(True, (), 1, BranchStats(nodes=1))
-    if k >= g.n:
+    if 0 < g.n <= k:
         return SolveOutcome(False, None, 1, BranchStats(nodes=1))
     s0mask = mask_of(v for v, row in enumerate(g._rows) if row.bit_count() != k)
     return _search(g, k, s0mask, regular=True)

@@ -1,11 +1,14 @@
 """Edge-list parsing, JSON output, exit codes, and the reduce emitter."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import subcomp
 from subcomp.cli import (
     MAX_VERTICES,
     GraphParseError,
@@ -330,14 +333,28 @@ class TestReduce:
         )
         assert code == 2 and "not regular" in err
 
+    def test_gadget_over_vertex_limit(self, capsys, tmp_path):
+        src = tmp_path / "c180.graph"
+        src.write_text(write_graph(cycle(180)))
+        code, payload, err = run_cli(
+            capsys, ["reduce", "--k", "3", "--out", str(tmp_path / "x"), str(src)]
+        )
+        assert code == 2 and payload is None
+        assert f"more than {MAX_VERTICES}" in err
+        assert not (tmp_path / "x.graph").exists()
+
 
 def test_console_script_smoke(tmp_path):
     target = tmp_path / "c5.graph"
     target.write_text(write_graph(cycle(5)))
+    # the child imports the same package as this process, installed or not
+    src = str(Path(subcomp.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "subcomp", "regular", "--k", "2", str(target)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["answer"] == "yes"

@@ -183,8 +183,6 @@ class TestHelperQueries:
         g = cycle(4)
         assert g.neighbors(0) == (1, 3)
         assert g.closed_neighborhood(0) == (0, 1, 3)
-        assert g.set_neighborhood([0]) == (1, 3)
-        assert g.set_neighborhood([0, 1]) == (2, 3)
 
     def test_degree_extremes(self):
         g = star(4)

@@ -40,6 +40,11 @@ class TestBuild:
         with pytest.raises(ValueError, match="not regular"):
             build_crg_reduction(path(3), 2)
 
+    def test_gadget_over_vertex_limit(self):
+        # n + t + s + t*a + s*b = 180 + 178 + 180 + 178*3 + 180*177 = 32,932
+        with pytest.raises(ValueError, match="32932 vertices"):
+            build_crg_reduction(cycle(180), 3)
+
     def test_oversized_clique_is_trivially_no(self):
         # a 2-regular graph has no clique of size 4 > r+1 = 3
         assert build_crg_reduction(cycle(5), 4) is None
