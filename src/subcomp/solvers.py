@@ -11,7 +11,8 @@ complementation lands the graph in a bounded-degree class:
 
 Together these give a certified 3-approximation for minimizing the
 achievable max degree and one bounded-depth branching search, _search,
-that serves both exact decisions: it grows S from the forced violators up
+that serves all three exact decisions (min degree as max degree in the
+complement, without building it): it grows S from the forced violators up
 to |S| = 2k+1 on an explicit stack, drops every set with a member too far
 from the target to get there within that bound, and for the k-regular
 target also looks for a detached regular completion of each small enough
@@ -27,22 +28,23 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from subcomp.graph import Graph, mask_of, members_of
-from subcomp.oracle import SolveOutcome
+from subcomp.oracle import SolveOutcome, TargetKind
 
 
 @dataclass
 class BranchStats:
     """Search instrumentation; carries no correctness weight.
 
-    Filled in by _search for both exact decisions.  nodes counts candidate
-    sets evaluated (the start set included; the candidates of the detached
-    completion are not counted), max_depth counts vertices added beyond the
-    start set (bounded by 2k+1), pruned_by_size counts sets cut at the
-    |S| = 2k+1 cardinality bound, pruned_by_slack counts smaller sets with
-    a member whose degree lies further from the target range than the
+    Filled in by _search for all three exact decisions.  nodes counts
+    candidate sets evaluated (the start set included; the candidates of the
+    detached completion are not counted), max_depth counts vertices added
+    beyond the start set (bounded by 2k+1), pruned_by_size counts sets cut
+    at the |S| = 2k+1 cardinality bound, pruned_by_slack counts smaller sets
+    with a member whose degree lies further from the target range than the
     2k+1 - |S| vertices still allowed can move it, and pruned_by_maxdeg
-    (max-degree search only) counts sets whose minimum-id violator has no
-    original neighbor left outside the set, so no child can repair it.
+    (max- and min-degree searches) counts sets whose minimum-id violator
+    has no original neighbor (for min degree: non-neighbor) left outside
+    the set, so no child can repair it.
     """
 
     nodes: int = 0
@@ -127,11 +129,19 @@ def _first_violator(
     return first, worst
 
 
-def _search(g: Graph, k: int, smask: int, regular: bool) -> SolveOutcome:
+def _search(g: Graph, k: int, smask: int, kind: TargetKind) -> SolveOutcome:
     """Depth-first growth of S from the forced start set, up to |S| = 2k+1.
 
-    The start set holds every input violator (V_>k, or V_!=k when
-    `regular`), and so does every set grown from it, which is what lets
+    The target range is [0, k] for max degree, [k, k] for k-regular, and
+    [n-1-k, n-1] for min degree, which runs as the max-degree search on the
+    complement at bound k without building it: the complement's degrees are
+    n-1-d(v), complementing S commutes with taking the complement, and the
+    complement's neighbors of a member v of S outside S are the vertices
+    outside S that are not neighbors of v in G.  So it visits the same sets
+    in the same order, with the same witness and counters.
+
+    The start set holds every input violator (V_>k, V_!=k, or V_<n-1-k),
+    and so does every set grown from it, which is what lets
     _first_violator scan S alone.  A set whose members all land in the
     target range is the witness.  Otherwise a set is pruned at the size
     bound, or by slack: a solution strictly containing the failed start set
@@ -142,24 +152,32 @@ def _search(g: Graph, k: int, smask: int, regular: bool) -> SolveOutcome:
     pruned too, so the prune skips no witness and changes none.  Surviving
     sets get children that add one vertex: for max degree <= k an original
     neighbor of the minimum-id violator (only that deletes one of its
-    edges), for k-regular any neighbor of the set, after a set of size <= k
-    has first tried find_regular_extension.  Children are visited in
-    increasing id and sets already seen are skipped.  The stack holds one
-    (set, size, untried children) frame per level, so the depth is bounded
-    by 2k+1 and not by the recursion limit.
+    edges), for min degree a non-neighbor of it (only that adds one), for
+    k-regular any neighbor of the set, after a set of size <= k has first
+    tried find_regular_extension.  Children are visited in increasing id
+    and sets already seen are skipped.  The stack holds one (set, size,
+    untried children) frame per level, so the depth is bounded by 2k+1 and
+    not by the recursion limit.
     """
-    lo = k if regular else 0
+    n = g.n
     rows = g._rows
     limit = 2 * k + 1
+    regular = kind is TargetKind.REGULAR
+    dual = kind is TargetKind.MIN_DEG_AT_LEAST
+    lo, hi = (n - 1 - k, n - 1) if dual else (k if regular else 0, k)
+    # rows[v] ^ flip is v's row in the complement, plus v itself.
+    flip = (1 << n) - 1 if dual else 0
     stats = BranchStats(nodes=1)
     ssize = smask.bit_count()
-    viol, worst = _first_violator(g, smask, ssize, lo, k, limit - ssize)
+    viol, worst = _first_violator(g, smask, ssize, lo, hi, limit - ssize)
     if viol < 0:
         return SolveOutcome(True, members_of(smask), stats.nodes, stats)
     # A solution would strictly contain the failed start set plus a vertex
-    # of degree <= k, which caps the input max degree at 3k and, for max
+    # of degree <= k (in the complement, for min degree), which caps the
+    # input max degree (the complement's) at 3k and, for max and min
     # degree, the start set at 2k vertices.
-    if g.max_degree() > 3 * k or (not regular and ssize >= limit):
+    spread = n - 1 - g.min_degree() if dual else g.max_degree()
+    if spread > 3 * k or (not regular and ssize >= limit):
         return SolveOutcome(False, None, stats.nodes, stats)
 
     visited = {smask}
@@ -179,11 +197,14 @@ def _search(g: Graph, k: int, smask: int, regular: bool) -> SolveOutcome:
                     witness = members_of(smask | cmask)
                     return SolveOutcome(True, witness, stats.nodes, stats)
             stack.append((smask, ssize, near & ~smask))
-        elif rows[viol] & ~smask:
-            stack.append((smask, ssize, rows[viol] & ~smask))
         else:
-            # Every vertex still outside S would raise the violator's degree.
-            stats.pruned_by_maxdeg += 1
+            untried = (rows[viol] ^ flip) & ~smask
+            if untried:
+                stack.append((smask, ssize, untried))
+            else:
+                # Every vertex still outside S would move the violator's
+                # degree the wrong way.
+                stats.pruned_by_maxdeg += 1
 
         while stack:
             parent, psize, untried = stack[-1]
@@ -199,7 +220,7 @@ def _search(g: Graph, k: int, smask: int, regular: bool) -> SolveOutcome:
             stats.nodes += 1
             stats.max_depth = max(stats.max_depth, len(stack))
             ssize = psize + 1
-            viol, worst = _first_violator(g, smask, ssize, lo, k, limit - ssize)
+            viol, worst = _first_violator(g, smask, ssize, lo, hi, limit - ssize)
             if viol < 0:
                 return SolveOutcome(True, members_of(smask), stats.nodes, stats)
             break
@@ -223,7 +244,7 @@ def solve_max_deg_le(g: Graph, k: int) -> SolveOutcome:
     skipped; the first compliant set in this DFS order is the witness.
     """
     rmask = mask_of(v for v, row in enumerate(g._rows) if row.bit_count() > k)
-    return _search(g, k, rmask, regular=False)
+    return _search(g, k, rmask, TargetKind.MAX_DEG_AT_MOST)
 
 
 # -- min degree at least k ---------------------------------------------
@@ -233,17 +254,20 @@ def solve_min_deg_ge(g: Graph, k: int) -> SolveOutcome:
     """Exact decision: can one complementation bring the min degree to >= k?
 
     Complementing commutes with taking the whole-graph complement, and min
-    degree k in a graph is max degree n-1-k in its complement, so the same
-    witness set answers (complement(G), n-k-1) for the max-degree solver.
-    The branching is therefore bounded by n-k-1, not by k: cheap when k is
-    close to n, expensive when k is small.
+    degree k in a graph is max degree n-1-k in its complement, so this is
+    the max-degree decision for (complement(G), n-1-k).  _search runs that
+    search on G itself at bound n-1-k, from V_<k: the witness and every
+    counter are those of solve_max_deg_le(g.complement(), n-1-k), without
+    the n x n complement.  The branching is therefore bounded by n-1-k, not
+    by k: cheap when k is close to n, expensive when k is small.
     """
     n = g.n
     if n == 0 or k == 0:
         return SolveOutcome(True, (), 1, BranchStats(nodes=1))
     if k > n - 1:
         return SolveOutcome(False, None, 1, BranchStats(nodes=1))
-    return solve_max_deg_le(g.complement(), n - k - 1)
+    lowmask = mask_of(v for v, row in enumerate(g._rows) if row.bit_count() < k)
+    return _search(g, n - 1 - k, lowmask, TargetKind.MIN_DEG_AT_LEAST)
 
 
 # -- minimize the max degree (3-approximation) --------------------------
@@ -339,4 +363,4 @@ def solve_k_regular(g: Graph, k: int) -> SolveOutcome:
     if 0 < g.n <= k:
         return SolveOutcome(False, None, 1, BranchStats(nodes=1))
     s0mask = mask_of(v for v, row in enumerate(g._rows) if row.bit_count() != k)
-    return _search(g, k, s0mask, regular=True)
+    return _search(g, k, s0mask, TargetKind.REGULAR)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import subcomp
+import subcomp.cli as cli
 from subcomp.cli import (
     MAX_VERTICES,
     GraphParseError,
@@ -18,6 +19,7 @@ from subcomp.cli import (
 )
 from subcomp.families import cycle, gnp, path, star
 from subcomp.graph import Graph
+from subcomp.oracle import SolveOutcome
 
 
 class TestParse:
@@ -69,6 +71,45 @@ class TestParse:
         with pytest.raises(GraphParseError, match="line 1: .* exceed the limit"):
             parse_graph(f"{MAX_VERTICES + 1} 0\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3\n", "line 1: expected header 'n m', got '3'"),
+            ("# c\n3 x\n", "line 2: expected header 'n m', got '3 x'"),
+            ("-1 0\n", "line 1: header values must be non-negative"),
+            ("3 -2\n", "line 1: header values must be non-negative"),
+            (
+                f"{MAX_VERTICES + 1} 0\n",
+                f"line 1: {MAX_VERTICES + 1} vertices exceed the limit of "
+                f"{MAX_VERTICES}",
+            ),
+            ("3 1\n0 1 2\n", "line 2: expected edge 'u v', got '0 1 2'"),
+            ("3 1\n0 b\n", "line 2: expected edge 'u v', got '0 b'"),
+            ("3 1\n1 1\n", "line 2: self-loop at vertex 1"),
+            ("3 1\n0 3\n", "line 2: endpoint out of range 0..2"),
+            ("3 1\n-1 2\n", "line 2: endpoint out of range 0..2"),
+            ("3 2\n0 1\n\n1 0\n", "line 4: duplicate edge 0 1"),
+            ("4 3\n2 3\n1 3\n3 2\n", "line 4: duplicate edge 2 3"),
+            ("3 1\n0 1\n1 2\n", "line 3: more than the declared 1 edges"),
+            ("3 2\n0 1\n# end\n", "line 3: declared 2 edges but found 1"),
+            ("", "line 1: missing header 'n m'"),
+            ("# nothing\n\n", "line 1: missing header 'n m'"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        # The full texts, line numbers included, as the parser gave them
+        # when it still collected an edge list and a set of seen pairs.
+        with pytest.raises(GraphParseError) as info:
+            parse_graph(text)
+        assert str(info.value) == message
+
+    def test_survives_a_plain_function_as_graph(self, monkeypatch, c5_file):
+        # The benchmark tracer replaces subcomp.cli.Graph with a plain
+        # function; parsing must not reach the class through that name.
+        monkeypatch.setattr("subcomp.cli.Graph", lambda *a, **kw: Graph(*a, **kw))
+        assert parse_graph("3 2\n0 1\n1 2\n") == path(3)
+        assert main(["regular", "--k", "2", c5_file]) == 0
+
 
 class TestWrite:
     def test_path(self):
@@ -76,6 +117,14 @@ class TestWrite:
 
     def test_empty(self):
         assert write_graph(Graph(4, [])) == "4 0\n"
+
+    def test_roundtrip_large(self):
+        n = 2000
+        g = Graph(n, [(v, (v + d) % n) for v in range(n) for d in (1, 2)])
+        assert g.degrees() == (4,) * n
+        back = parse_graph(write_graph(g))
+        assert back == g
+        assert back.m == g.m == 2 * n
 
     def test_roundtrip_random(self):
         for seed in range(100):
@@ -225,6 +274,31 @@ class TestSubcommands:
             main(["regular", "--k", "2", "--stats", c5_file])
             outputs.add(capsys.readouterr().out)
         assert len(outputs) == 1
+
+
+class TestParserReuse:
+    @pytest.mark.parametrize(
+        "which, code", [(0, 2), (1, 0), (2, 0)], ids=["usage-error", "help", "valid"]
+    )
+    def test_third_call_matches_first(self, capsys, c5_file, which, code):
+        calls = [["maxdeg", c5_file], ["--help"], ["regular", "--k", "2", c5_file]]
+        cli._parser.cache_clear()  # the next call builds the parser anew
+        first = (main(calls[which]), capsys.readouterr())
+        assert first[0] == code
+        for argv in calls[:which] + calls[which + 1 :]:
+            main(argv)
+        capsys.readouterr()
+        assert (main(calls[which]), capsys.readouterr()) == first
+
+    def test_solver_patch_after_first_call(self, capsys, c5_file, monkeypatch):
+        assert main(["regular", "--k", "2", c5_file]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(
+            "subcomp.cli.solve_k_regular",
+            lambda g, k: SolveOutcome(False, None, 1),
+        )
+        code, payload, _ = run_cli(capsys, ["regular", "--k", "2", c5_file])
+        assert code == 1 and payload["answer"] == "no"
 
 
 class TestErrors:

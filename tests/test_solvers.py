@@ -163,12 +163,37 @@ class TestSolveMinDegGe:
     @settings(max_examples=60, deadline=None)
     @given(graphs(min_n=1), st.integers(1, 5))
     def test_complement_instance_identity(self, g, k):
-        left = solve_min_deg_ge(g, k).answer
+        # The search runs on G, yet answer, witness and every counter are
+        # those of the max-degree search on the complement.
+        out = solve_min_deg_ge(g, k)
         if k > g.n - 1:
-            assert not left
+            assert not out.answer
         else:
-            right = solve_max_deg_le(g.complement(), g.n - k - 1).answer
-            assert left == right
+            assert out == solve_max_deg_le(g.complement(), g.n - k - 1)
+
+    def test_complement_route_seeded_sweep(self):
+        # 300 graphs, 2,250 instances, 179 of them searched past node 1
+        for n in range(1, 11):
+            for seed in range(30):
+                g = gnp(n, (seed % 6 + 1) / 7, 100 * n + seed)
+                co = g.complement()
+                for k in range(n + 2):
+                    out = solve_min_deg_ge(g, k)
+                    if k > n - 1:
+                        assert not out.answer
+                    else:
+                        assert out == solve_max_deg_le(co, n - 1 - k), (seed, k)
+
+    def test_never_builds_the_complement(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("complement built")
+
+        n = 2000
+        g = Graph(n, [(v, (v + d) % n) for v in range(n) for d in (1, 2)][1:])
+        monkeypatch.setattr(Graph, "complement", refuse)
+        out = solve_min_deg_ge(g, 4)
+        assert out.answer and check(g, out.witness, min_deg_at_least(4))
+        assert not solve_min_deg_ge(g, n - 2).answer
 
 
 class TestApproxMinMaxDegree:
