@@ -2,8 +2,7 @@
 
 Vertices are the integers 0..n-1.  Internally every vertex stores its
 neighborhood as an int bitmask (vertex v is bit 1 << v), which makes
-adjacency queries, set algebra and the complementation primitives cheap
-even without the compiled kernels.
+adjacency queries, set algebra and the complementation primitives cheap.
 
 Vertex sets cross the public API as plain iterables of ints on the way in
 and as strictly increasing tuples on the way out; the canonical ordering

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from subcomp import _kernels
+from subcomp._kernels import pure
 from subcomp.graph import Graph, members_of
 
 if TYPE_CHECKING:  # solvers imports this module
@@ -29,9 +29,9 @@ class TargetKind(enum.Enum):
 
 
 _KERNEL_CODE = {
-    TargetKind.MAX_DEG_AT_MOST: _kernels.MAXDEG_AT_MOST,
-    TargetKind.MIN_DEG_AT_LEAST: _kernels.MINDEG_AT_LEAST,
-    TargetKind.REGULAR: _kernels.REGULAR,
+    TargetKind.MAX_DEG_AT_MOST: pure.MAXDEG_AT_MOST,
+    TargetKind.MIN_DEG_AT_LEAST: pure.MINDEG_AT_LEAST,
+    TargetKind.REGULAR: pure.REGULAR,
 }
 
 
@@ -108,7 +108,7 @@ def brute_force_solve(g: Graph, target: TargetPredicate, cap: int = DEFAULT_CAPA
             f"brute force over 2^{g.n} subsets exceeds the capacity guard "
             f"(n = {g.n} > cap = {cap}); pass a larger cap to override"
         )
-    found, mask, checked = _kernels.brute_force_search(
+    found, mask, checked = pure.brute_force_search(
         g._rows, g.n, _KERNEL_CODE[target.kind], target.k
     )
     return SolveOutcome(found, members_of(mask) if found else None, checked)
@@ -123,5 +123,5 @@ def brute_force_min_max_degree(g: Graph, cap: int = DEFAULT_CAPACITY) -> tuple[i
             f"brute force over 2^{g.n} subsets exceeds the capacity guard "
             f"(n = {g.n} > cap = {cap}); pass a larger cap to override"
         )
-    best, mask = _kernels.min_max_degree(g._rows, g.n)
+    best, mask = pure.min_max_degree(g._rows, g.n)
     return best, members_of(mask)

@@ -1,59 +1,117 @@
-"""Pure and compiled kernels must be observably identical."""
+"""The subset kernels must match a plain `combinations` sweep exactly."""
 
-import pytest
+import ast
+import pathlib
+from itertools import combinations
+
 from hypothesis import given, settings, strategies as st
 
-from subcomp._kernels import (
-    BACKEND,
+from subcomp._kernels import BACKEND
+from subcomp._kernels.pure import (
     MAXDEG_AT_MOST,
     MINDEG_AT_LEAST,
     REGULAR,
     brute_force_search,
     min_max_degree,
-    pure,
 )
+from subcomp.families import gnp
 
 from conftest import graphs
 
 KINDS = (MAXDEG_AT_MOST, MINDEG_AT_LEAST, REGULAR)
 
-needs_compiled = pytest.mark.skipif(
-    BACKEND != "compiled", reason="compiled kernel not built"
-)
+
+def _reference_satisfies(rows, n, smask, ssize, kind, k):
+    for v in range(n):
+        row = rows[v]
+        if smask >> v & 1:
+            d = row.bit_count() + ssize - 1 - 2 * (row & smask).bit_count()
+        else:
+            d = row.bit_count()
+        if kind == 0:
+            if d > k:
+                return False
+        elif kind == 1:
+            if d < k:
+                return False
+        else:
+            if d != k:
+                return False
+    return True
+
+
+def _reference_search(rows, n, kind, k):
+    """The kernel's contract spelled out: every subset by size, then by
+    sorted member tuple, each one checked on every vertex."""
+    checked = 0
+    for size in range(n + 1):
+        for combo in combinations(range(n), size):
+            smask = 0
+            for v in combo:
+                smask |= 1 << v
+            checked += 1
+            if _reference_satisfies(rows, n, smask, size, kind, k):
+                return True, smask, checked
+    return False, 0, checked
+
+
+def _reference_min_max(rows, n):
+    best = n
+    best_mask = 0
+    for size in range(n + 1):
+        for combo in combinations(range(n), size):
+            smask = 0
+            for v in combo:
+                smask |= 1 << v
+            worst = 0
+            for v in range(n):
+                row = rows[v]
+                if smask >> v & 1:
+                    d = row.bit_count() + size - 1 - 2 * (row & smask).bit_count()
+                else:
+                    d = row.bit_count()
+                if d > worst:
+                    worst = d
+                    if worst >= best:
+                        break
+            if worst < best:
+                best = worst
+                best_mask = smask
+    return best, best_mask
 
 
 def test_backend_consistent():
-    assert BACKEND in ("pure", "compiled")
+    assert BACKEND == "pure"
 
 
-@needs_compiled
-@settings(max_examples=80, deadline=None)
-@given(graphs(max_n=7), st.sampled_from(KINDS), st.integers(0, 4))
-def test_search_agreement(g, kind, k):
-    from subcomp._kernels import _ckernels
-    from array import array
-
-    expected = pure.brute_force_search(g._rows, g.n, kind, k)
-    rows64 = array("Q", g._rows)
-    got = _ckernels.brute_force_search(rows64, g.n, kind, k)
-    assert got == expected
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=8), st.sampled_from(KINDS), st.integers(0, 9))
+def test_search_matches_reference(g, kind, k):
+    got = brute_force_search(g._rows, g.n, kind, k)
+    assert got == _reference_search(g._rows, g.n, kind, k)
 
 
-@needs_compiled
-@settings(max_examples=60, deadline=None)
-@given(graphs(min_n=1, max_n=7))
-def test_min_max_degree_agreement(g):
-    from subcomp._kernels import _ckernels
-    from array import array
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=8))
+def test_min_max_degree_matches_reference(g):
+    assert min_max_degree(g._rows, g.n) == _reference_min_max(g._rows, g.n)
 
-    expected = pure.min_max_degree(g._rows, g.n)
-    got = _ckernels.min_max_degree(array("Q", g._rows), g.n)
-    assert got == expected
+
+def test_exhaustive_sweep_matches_reference():
+    # Two seeded G(n, p) graphs per n, sparse and dense, every kind and k
+    for n in range(10):
+        for seed, p in enumerate((0.3, 0.7)):
+            rows = gnp(n, p, 100 * n + seed)._rows
+            for kind in KINDS:
+                for k in range(n + 2):
+                    got = brute_force_search(rows, n, kind, k)
+                    assert got == _reference_search(rows, n, kind, k), (n, seed, kind, k)
+            assert min_max_degree(rows, n) == _reference_min_max(rows, n), (n, seed)
 
 
 def test_dispatch_handles_wide_graphs():
-    # 65 vertices cannot fit a uint64 mask; the dispatcher must fall back to
-    # the pure kernel.  Edgeless + k=0 stops at the very first subset.
+    # 65 vertices do not fit a machine word; edgeless + k=0 stops at the
+    # very first subset.
     rows = [0] * 65
     found, mask, checked = brute_force_search(rows, 65, MAXDEG_AT_MOST, 0)
     assert found and mask == 0 and checked == 1
@@ -66,3 +124,32 @@ def test_dispatch_small_graph():
     best, bmask = min_max_degree(rows, 3)
     assert best == 0 and bmask == 0b111
 
+
+def _runtime_imports(path):
+    """Dotted names that `path` imports outside `if TYPE_CHECKING:` blocks."""
+    tree = ast.parse(path.read_text())
+    guarded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+            guarded.update(id(n) for stmt in node.body for n in ast.walk(stmt))
+    for node in ast.walk(tree):
+        if id(node) in guarded:
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def _imports_solvers(path):
+    return any("solvers" in name.split(".") for name in _runtime_imports(path))
+
+
+def test_oracle_imports_nothing_from_solvers():
+    # The oracle validates the solvers, so it must not run their code.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "subcomp"
+    assert _imports_solvers(src / "cli.py")  # the check sees a real import
+    for path in [src / "oracle.py", *(src / "_kernels").glob("*.py")]:
+        assert not _imports_solvers(path), path
