@@ -11,17 +11,13 @@ complement mask t of the set increases and Gosper's hack steps it to the
 next mask with the same number of bits.  Masks are mapped back to vertex
 numbering on the way out.
 
-Targets are encoded as: 0 = max degree <= k, 1 = min degree >= k,
-2 = k-regular.
+A target is the degree range [lo, hi] that every vertex must land in
+(subcomp.oracle.degree_range).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-
-MAXDEG_AT_MOST = 0
-MINDEG_AT_LEAST = 1
-REGULAR = 2
 
 
 def _reverse(mask: int, n: int) -> int:
@@ -35,11 +31,11 @@ def _reversed_rows(rows: Sequence[int], n: int):
     return rrows, [row.bit_count() for row in rrows]
 
 
-def brute_force_search(rows: Sequence[int], n: int, kind: int, k: int):
+def brute_force_search(rows: Sequence[int], n: int, lo: int, hi: int):
     """First subset S (by size, then lexicographic member order) whose
-    complementation satisfies the target, as (found, mask, subsets_checked).
+    complementation puts every degree in [lo, hi], as
+    (found, mask, subsets_checked).
     """
-    lo, hi = ((0, k), (k, n), (k, k))[kind]
     rrows, deg = _reversed_rows(rows, n)
     # A vertex outside S keeps its degree, so each of these must be in S.
     bad = sum(1 << b for b in range(n) if not lo <= deg[b] <= hi)

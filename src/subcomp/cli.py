@@ -25,12 +25,10 @@ from subcomp.oracle import (
     DEFAULT_CAPACITY,
     CapacityError,
     SolveOutcome,
+    TargetKind,
     TargetPredicate,
     brute_force_solve,
     check,
-    max_deg_at_most,
-    min_deg_at_least,
-    regular,
 )
 from subcomp.reduction import build_crg_reduction
 from subcomp.solvers import (
@@ -131,13 +129,6 @@ def write_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-_TARGETS = {
-    "maxdeg": max_deg_at_most,
-    "mindeg": min_deg_at_least,
-    "regular": regular,
-}
-
-
 def _read_graph_arg(path: str) -> Graph:
     if path == "-":
         return parse_graph(sys.stdin.read())
@@ -207,9 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_graph_arg(p)
 
+    targets = [kind.value for kind in TargetKind]
     p = sub.add_parser("brute", help="exhaustive reference search")
     add_graph_arg(p)
-    p.add_argument("--target", choices=sorted(_TARGETS), required=True)
+    p.add_argument("--target", choices=targets, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument(
         "--cap",
@@ -220,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a witness set against a target")
     add_graph_arg(p)
-    p.add_argument("--target", choices=sorted(_TARGETS), required=True)
+    p.add_argument("--target", choices=targets, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--set", required=True, help="comma-separated ids, e.g. 0,3,7")
 
@@ -309,7 +301,8 @@ def _run(args: argparse.Namespace) -> int:
             return 0
 
         # maxdeg, mindeg, regular, brute and verify: one verdict path.
-        target = _TARGETS[getattr(args, "target", None) or args.command](args.k)
+        kind = TargetKind(getattr(args, "target", None) or args.command)
+        target = TargetPredicate(kind, args.k)
         if args.command == "verify":
             vertices = _parse_vertex_set(args.set)
             ok = check(g, vertices, target)

@@ -165,11 +165,6 @@ class Graph:
             return row.bit_count()
         return row.bit_count() + ssize - 1 - 2 * (row & smask).bit_count()
 
-    def degrees_after_complement(self, vertices: Iterable[int]) -> tuple[int, ...]:
-        smask = self._subset_mask(vertices)
-        ssize = smask.bit_count()
-        return tuple(self._degree_after_mask(smask, ssize, v) for v in range(self.n))
-
     def complement(self) -> "Graph":
         """The edge complement over all vertex pairs."""
         full = (1 << self.n) - 1

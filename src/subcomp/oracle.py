@@ -5,6 +5,10 @@ on the sorted member list, so the returned witness is always the unique
 minimum-cardinality, lexicographically-first one.  Deliberately free of any
 pruning: this module is the oracle the clever solvers are validated
 against, and must stay independent of them.
+
+Each target class is a degree range [lo, hi] that every vertex must land
+in; degree_range is its one definition, read by the kernel, by check and
+by the solvers.
 """
 
 from __future__ import annotations
@@ -28,11 +32,16 @@ class TargetKind(enum.Enum):
     REGULAR = "regular"
 
 
-_KERNEL_CODE = {
-    TargetKind.MAX_DEG_AT_MOST: pure.MAXDEG_AT_MOST,
-    TargetKind.MIN_DEG_AT_LEAST: pure.MINDEG_AT_LEAST,
-    TargetKind.REGULAR: pure.REGULAR,
-}
+def degree_range(kind: TargetKind, k: int, n: int) -> tuple[int, int]:
+    """The range [lo, hi] that every degree of an n-vertex graph must lie
+    in for the target: [0, k] for max degree <= k, [k, n-1] for min degree
+    >= k (empty when k > n-1), and [k, k] for k-regular.  k is not checked
+    here, since the solvers pass on whatever k their caller gave."""
+    if kind is TargetKind.MAX_DEG_AT_MOST:
+        return 0, k
+    if kind is TargetKind.MIN_DEG_AT_LEAST:
+        return k, n - 1
+    return k, k
 
 
 @dataclass(frozen=True)
@@ -45,13 +54,6 @@ class TargetPredicate:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError(f"target degree bound must be non-negative, got {self.k}")
-
-    def holds_for_degree(self, d: int) -> bool:
-        if self.kind is TargetKind.MAX_DEG_AT_MOST:
-            return d <= self.k
-        if self.kind is TargetKind.MIN_DEG_AT_LEAST:
-            return d >= self.k
-        return d == self.k
 
 
 def max_deg_at_most(k: int) -> TargetPredicate:
@@ -86,13 +88,21 @@ class CapacityError(Exception):
     """Raised when an instance exceeds the brute-force capacity guard."""
 
 
+def _guard_capacity(n: int, cap: int) -> None:
+    if n > cap:
+        raise CapacityError(
+            f"brute force over 2^{n} subsets exceeds the capacity guard "
+            f"(n = {n} > cap = {cap}); pass a larger cap to override"
+        )
+
+
 def check(g: Graph, vertices, target: TargetPredicate) -> bool:
     """True iff complementing the given set lands the graph in the target class."""
     smask = g._subset_mask(vertices)
     ssize = smask.bit_count()
+    lo, hi = degree_range(target.kind, target.k, g.n)
     return all(
-        target.holds_for_degree(g._degree_after_mask(smask, ssize, v))
-        for v in range(g.n)
+        lo <= g._degree_after_mask(smask, ssize, v) <= hi for v in range(g.n)
     )
 
 
@@ -103,14 +113,9 @@ def brute_force_solve(g: Graph, target: TargetPredicate, cap: int = DEFAULT_CAPA
     silently truncating; raise the cap explicitly if you can afford the
     2^n enumeration.
     """
-    if g.n > cap:
-        raise CapacityError(
-            f"brute force over 2^{g.n} subsets exceeds the capacity guard "
-            f"(n = {g.n} > cap = {cap}); pass a larger cap to override"
-        )
-    found, mask, checked = pure.brute_force_search(
-        g._rows, g.n, _KERNEL_CODE[target.kind], target.k
-    )
+    _guard_capacity(g.n, cap)
+    lo, hi = degree_range(target.kind, target.k, g.n)
+    found, mask, checked = pure.brute_force_search(g._rows, g.n, lo, hi)
     return SolveOutcome(found, members_of(mask) if found else None, checked)
 
 
@@ -118,10 +123,6 @@ def brute_force_min_max_degree(g: Graph, cap: int = DEFAULT_CAPACITY) -> tuple[i
     """Exact optimum of min over all sets S of the post-complementation max
     degree, with the first optimal S in size-then-lex order.  Ground truth
     for the approximation guarantee."""
-    if g.n > cap:
-        raise CapacityError(
-            f"brute force over 2^{g.n} subsets exceeds the capacity guard "
-            f"(n = {g.n} > cap = {cap}); pass a larger cap to override"
-        )
+    _guard_capacity(g.n, cap)
     best, mask = pure.min_max_degree(g._rows, g.n)
     return best, members_of(mask)

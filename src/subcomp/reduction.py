@@ -199,6 +199,20 @@ def extract_clique(inst: ReductionInstance, witness) -> tuple[int, ...]:
     return cset
 
 
+def _cliques(g: Graph, k: int):
+    """The k-cliques of g, lazily, in lex order.  The arguments are checked
+    at the call, not when the first clique is drawn."""
+    if g.n > 10:
+        raise ValueError("clique finder is a test oracle, capped at 10 vertices")
+    if k < 0:
+        raise ValueError(f"clique size must be non-negative, got {k}")
+    return (
+        cand
+        for cand in combinations(range(g.n), k)
+        if all(g.adjacent(u, v) for u, v in combinations(cand, 2))
+    )
+
+
 def find_clique(g: Graph, k: int) -> tuple[int, ...] | None:
     """First k-clique of g in size-then-lex order, or None.
 
@@ -206,24 +220,9 @@ def find_clique(g: Graph, k: int) -> tuple[int, ...] | None:
     Note k = 0 returns the empty tuple (a clique, but falsy), so callers
     must compare against None.
     """
-    if g.n > 10:
-        raise ValueError("clique finder is a test oracle, capped at 10 vertices")
-    if k < 0:
-        raise ValueError(f"clique size must be non-negative, got {k}")
-    for cand in combinations(range(g.n), k):
-        if all(g.adjacent(u, v) for u, v in combinations(cand, 2)):
-            return cand
-    return None
+    return next(_cliques(g, k), None)
 
 
 def find_cliques(g: Graph, k: int) -> list[tuple[int, ...]]:
     """All k-cliques of g in lex order; same 10-vertex cap as find_clique."""
-    if g.n > 10:
-        raise ValueError("clique finder is a test oracle, capped at 10 vertices")
-    if k < 0:
-        raise ValueError(f"clique size must be non-negative, got {k}")
-    return [
-        cand
-        for cand in combinations(range(g.n), k)
-        if all(g.adjacent(u, v) for u, v in combinations(cand, 2))
-    ]
+    return list(_cliques(g, k))

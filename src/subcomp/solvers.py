@@ -12,11 +12,12 @@ complementation lands the graph in a bounded-degree class:
 Together these give a certified 3-approximation for minimizing the
 achievable max degree and one bounded-depth branching search, _search,
 that serves all three exact decisions (min degree as max degree in the
-complement, without building it): it grows S from the forced violators up
-to |S| = 2k+1 on an explicit stack, drops every set with a member too far
-from the target to get there within that bound, and for the k-regular
-target also looks for a detached regular completion of each small enough
-set.  Since every search set contains all the input violators, one scan
+complement, without building it).  It reads the target's degree range
+[lo, hi] from oracle.degree_range, grows S from the forced violators (the
+vertices of degree outside that range) up to |S| = 2k+1 on an explicit
+stack, drops every set with a member too far from the target to get there
+within that bound, and for the k-regular target also looks for a detached
+regular completion of each small enough set.  Since every search set contains all the input violators, one scan
 of S alone (_first_violator) decides whether a set is a witness.  All
 searches use fixed minimum-id orders so witnesses are deterministic and
 reproducible.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from subcomp.graph import Graph, mask_of, members_of
-from subcomp.oracle import SolveOutcome, TargetKind
+from subcomp.oracle import SolveOutcome, TargetKind, degree_range
 
 
 @dataclass
@@ -129,25 +130,26 @@ def _first_violator(
     return first, worst
 
 
-def _search(g: Graph, k: int, smask: int, kind: TargetKind) -> SolveOutcome:
-    """Depth-first growth of S from the forced start set, up to |S| = 2k+1.
+def _search(g: Graph, k: int, kind: TargetKind) -> SolveOutcome:
+    """Depth-first growth of S from the forced start set, up to |S| = 2K+1.
 
-    The target range is [0, k] for max degree, [k, k] for k-regular, and
-    [n-1-k, n-1] for min degree, which runs as the max-degree search on the
-    complement at bound k without building it: the complement's degrees are
-    n-1-d(v), complementing S commutes with taking the complement, and the
-    complement's neighbors of a member v of S outside S are the vertices
-    outside S that are not neighbors of v in G.  So it visits the same sets
-    in the same order, with the same witness and counters.
+    The target range [lo, hi] comes from degree_range, and the bound K is k
+    for max degree and k-regular.  Min degree >= k runs as the max-degree
+    search on the complement at bound K = n-1-lo without building it: the
+    complement's degrees are n-1-d(v), complementing S commutes with taking
+    the complement, and the complement's neighbors of a member v of S
+    outside S are the vertices outside S that are not neighbors of v in G.
+    So it visits the same sets in the same order, with the same witness and
+    counters.
 
-    The start set holds every input violator (V_>k, V_!=k, or V_<n-1-k),
+    The start set holds every input violator (degree outside [lo, hi]),
     and so does every set grown from it, which is what lets
     _first_violator scan S alone.  A set whose members all land in the
     target range is the witness.  Otherwise a set is pruned at the size
     bound, or by slack: a solution strictly containing the failed start set
-    has at most 2k+1 vertices, and each vertex added to S moves the degree
+    has at most 2K+1 vertices, and each vertex added to S moves the degree
     of every member by exactly one, so when some member of S lies further
-    from the target range than 2k+1 - |S| no superset of S (detached
+    from the target range than 2K+1 - |S| no superset of S (detached
     completions included) is a solution.  Supersets of a pruned set are
     pruned too, so the prune skips no witness and changes none.  Surviving
     sets get children that add one vertex: for max degree <= k an original
@@ -156,28 +158,32 @@ def _search(g: Graph, k: int, smask: int, kind: TargetKind) -> SolveOutcome:
     k-regular any neighbor of the set, after a set of size <= k has first
     tried find_regular_extension.  Children are visited in increasing id
     and sets already seen are skipped.  The stack holds one (set, size,
-    untried children) frame per level, so the depth is bounded by 2k+1 and
+    untried children) frame per level, so the depth is bounded by 2K+1 and
     not by the recursion limit.
     """
     n = g.n
     rows = g._rows
-    limit = 2 * k + 1
     regular = kind is TargetKind.REGULAR
     dual = kind is TargetKind.MIN_DEG_AT_LEAST
-    lo, hi = (n - 1 - k, n - 1) if dual else (k if regular else 0, k)
+    lo, hi = degree_range(kind, k, n)
+    bound = n - 1 - lo if dual else k
+    limit = 2 * bound + 1
     # rows[v] ^ flip is v's row in the complement, plus v itself.
     flip = (1 << n) - 1 if dual else 0
+    smask = mask_of(
+        v for v, row in enumerate(rows) if not lo <= row.bit_count() <= hi
+    )
     stats = BranchStats(nodes=1)
     ssize = smask.bit_count()
     viol, worst = _first_violator(g, smask, ssize, lo, hi, limit - ssize)
     if viol < 0:
         return SolveOutcome(True, members_of(smask), stats.nodes, stats)
     # A solution would strictly contain the failed start set plus a vertex
-    # of degree <= k (in the complement, for min degree), which caps the
-    # input max degree (the complement's) at 3k and, for max and min
-    # degree, the start set at 2k vertices.
+    # of degree <= K (in the complement, for min degree), which caps the
+    # input max degree (the complement's) at 3K and, for max and min
+    # degree, the start set at 2K vertices.
     spread = n - 1 - g.min_degree() if dual else g.max_degree()
-    if spread > 3 * k or (not regular and ssize >= limit):
+    if spread > 3 * bound or (not regular and ssize >= limit):
         return SolveOutcome(False, None, stats.nodes, stats)
 
     visited = {smask}
@@ -243,8 +249,7 @@ def solve_max_deg_le(g: Graph, k: int) -> SolveOutcome:
     are S + {w} for each such w in increasing id.  Already-visited sets are
     skipped; the first compliant set in this DFS order is the witness.
     """
-    rmask = mask_of(v for v, row in enumerate(g._rows) if row.bit_count() > k)
-    return _search(g, k, rmask, TargetKind.MAX_DEG_AT_MOST)
+    return _search(g, k, TargetKind.MAX_DEG_AT_MOST)
 
 
 # -- min degree at least k ---------------------------------------------
@@ -266,8 +271,7 @@ def solve_min_deg_ge(g: Graph, k: int) -> SolveOutcome:
         return SolveOutcome(True, (), 1, BranchStats(nodes=1))
     if k > n - 1:
         return SolveOutcome(False, None, 1, BranchStats(nodes=1))
-    lowmask = mask_of(v for v, row in enumerate(g._rows) if row.bit_count() < k)
-    return _search(g, n - 1 - k, lowmask, TargetKind.MIN_DEG_AT_LEAST)
+    return _search(g, k, TargetKind.MIN_DEG_AT_LEAST)
 
 
 # -- minimize the max degree (3-approximation) --------------------------
@@ -326,11 +330,7 @@ def find_regular_extension(
     start vertex, then lexicographic order, and the first verified
     completion wins.
     """
-    rows = g._rows
-    sizes = {
-        k + 1 - ssize - rows[b].bit_count() + 2 * (rows[b] & smask).bit_count()
-        for b in members_of(smask)
-    }
+    sizes = {k - g._degree_after_mask(smask, ssize, b) for b in members_of(smask)}
     csize = sizes.pop()
     if sizes or not 1 <= csize <= k:
         return 0
@@ -362,5 +362,4 @@ def solve_k_regular(g: Graph, k: int) -> SolveOutcome:
     """
     if 0 < g.n <= k:
         return SolveOutcome(False, None, 1, BranchStats(nodes=1))
-    s0mask = mask_of(v for v, row in enumerate(g._rows) if row.bit_count() != k)
-    return _search(g, k, s0mask, TargetKind.REGULAR)
+    return _search(g, k, TargetKind.REGULAR)

@@ -206,7 +206,7 @@ def test_criterion_6():
         for g, _ in entries:
             res = approx_min_max_degree(g)
             opt, _ = brute_force_min_max_degree(g)
-            achieved = max(g.degrees_after_complement(res.witness))
+            achieved = max(g.subgraph_complement(res.witness).degrees())
             if achieved != res.achieved_max_degree:
                 violations += 1
             if res.achieved_max_degree > 3 * opt:

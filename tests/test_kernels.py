@@ -1,4 +1,9 @@
-"""The subset kernels must match a plain `combinations` sweep exactly."""
+"""The subset kernels must match a plain `combinations` sweep exactly.
+
+The reference below keeps its own kind codes and its own comparisons, and
+the fast kernel is called with the range from oracle.degree_range, so the
+one shared definition of a target is checked against an independent one.
+"""
 
 import ast
 import pathlib
@@ -7,18 +12,19 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from subcomp._kernels import BACKEND
-from subcomp._kernels.pure import (
-    MAXDEG_AT_MOST,
-    MINDEG_AT_LEAST,
-    REGULAR,
-    brute_force_search,
-    min_max_degree,
-)
+from subcomp._kernels.pure import brute_force_search, min_max_degree
 from subcomp.families import gnp
+from subcomp.oracle import TargetKind, degree_range
 
 from conftest import graphs
 
-KINDS = (MAXDEG_AT_MOST, MINDEG_AT_LEAST, REGULAR)
+# The reference's kind codes, and the target each one stands for.
+TARGET_OF = {
+    0: TargetKind.MAX_DEG_AT_MOST,
+    1: TargetKind.MIN_DEG_AT_LEAST,
+    2: TargetKind.REGULAR,
+}
+KINDS = tuple(TARGET_OF)
 
 
 def _reference_satisfies(rows, n, smask, ssize, kind, k):
@@ -55,6 +61,10 @@ def _reference_search(rows, n, kind, k):
     return False, 0, checked
 
 
+def _fast_search(rows, n, kind, k):
+    return brute_force_search(rows, n, *degree_range(TARGET_OF[kind], k, n))
+
+
 def _reference_min_max(rows, n):
     best = n
     best_mask = 0
@@ -87,7 +97,7 @@ def test_backend_consistent():
 @settings(max_examples=150, deadline=None)
 @given(graphs(max_n=8), st.sampled_from(KINDS), st.integers(0, 9))
 def test_search_matches_reference(g, kind, k):
-    got = brute_force_search(g._rows, g.n, kind, k)
+    got = _fast_search(g._rows, g.n, kind, k)
     assert got == _reference_search(g._rows, g.n, kind, k)
 
 
@@ -104,22 +114,22 @@ def test_exhaustive_sweep_matches_reference():
             rows = gnp(n, p, 100 * n + seed)._rows
             for kind in KINDS:
                 for k in range(n + 2):
-                    got = brute_force_search(rows, n, kind, k)
+                    got = _fast_search(rows, n, kind, k)
                     assert got == _reference_search(rows, n, kind, k), (n, seed, kind, k)
             assert min_max_degree(rows, n) == _reference_min_max(rows, n), (n, seed)
 
 
 def test_dispatch_handles_wide_graphs():
-    # 65 vertices do not fit a machine word; edgeless + k=0 stops at the
-    # very first subset.
+    # 65 vertices do not fit a machine word; an edgeless graph already has
+    # every degree in [0, 0], so the very first subset wins.
     rows = [0] * 65
-    found, mask, checked = brute_force_search(rows, 65, MAXDEG_AT_MOST, 0)
+    found, mask, checked = brute_force_search(rows, 65, 0, 0)
     assert found and mask == 0 and checked == 1
 
 
 def test_dispatch_small_graph():
-    rows = [0b110, 0b101, 0b011]  # triangle
-    found, mask, checked = brute_force_search(rows, 3, REGULAR, 2)
+    rows = [0b110, 0b101, 0b011]  # triangle, already 2-regular
+    found, mask, checked = brute_force_search(rows, 3, 2, 2)
     assert found and mask == 0 and checked == 1
     best, bmask = min_max_degree(rows, 3)
     assert best == 0 and bmask == 0b111

@@ -14,6 +14,7 @@ from subcomp.oracle import (
     brute_force_min_max_degree,
     brute_force_solve,
     check,
+    degree_range,
     max_deg_at_most,
     min_deg_at_least,
     regular,
@@ -43,13 +44,16 @@ class TestTargetPredicate:
         assert min_deg_at_least(2).kind is TargetKind.MIN_DEG_AT_LEAST
         assert regular(2).kind is TargetKind.REGULAR
 
-    def test_holds_for_degree(self):
-        assert max_deg_at_most(2).holds_for_degree(2)
-        assert not max_deg_at_most(2).holds_for_degree(3)
-        assert min_deg_at_least(2).holds_for_degree(5)
-        assert not min_deg_at_least(2).holds_for_degree(1)
-        assert regular(2).holds_for_degree(2)
-        assert not regular(2).holds_for_degree(1)
+    def test_degree_range(self):
+        assert degree_range(TargetKind.MAX_DEG_AT_MOST, 2, 6) == (0, 2)
+        assert degree_range(TargetKind.MIN_DEG_AT_LEAST, 2, 6) == (2, 5)
+        assert degree_range(TargetKind.REGULAR, 2, 6) == (2, 2)
+        # min degree above n-1 is out of reach: the range is empty
+        assert degree_range(TargetKind.MIN_DEG_AT_LEAST, 6, 6) == (6, 5)
+        # n = 0: only the min-degree range depends on n, and it is empty
+        assert degree_range(TargetKind.MAX_DEG_AT_MOST, 3, 0) == (0, 3)
+        assert degree_range(TargetKind.MIN_DEG_AT_LEAST, 0, 0) == (0, -1)
+        assert degree_range(TargetKind.REGULAR, 3, 0) == (3, 3)
 
 
 class TestCheck:
@@ -138,7 +142,8 @@ class TestMinMaxDegree:
             for cand in combinations(range(g.n), size)
         ]
         values = {
-            cand: max(g.degrees_after_complement(cand)) for cand in candidates
+            cand: max(g.subgraph_complement(cand).degrees())
+            for cand in candidates
         }
         true_best = min(values.values())
         first = next(c for c in candidates if values[c] == true_best)

@@ -46,7 +46,7 @@ class TestTrivialWitnesses:
         g = path(3)
         s = trivial_low_min_degree_witness(g, 0)
         assert s == g.closed_neighborhood(0) == (0, 1)
-        assert min(g.degrees_after_complement(s)) == 0
+        assert min(g.subgraph_complement(s).degrees()) == 0
 
     def test_low_empty_graph_rejected(self):
         with pytest.raises(ValueError):
@@ -222,7 +222,7 @@ class TestApproxMinMaxDegree:
     @given(graphs(min_n=1, max_n=7))
     def test_certificate(self, g):
         res = approx_min_max_degree(g)
-        achieved = max(g.degrees_after_complement(res.witness))
+        achieved = max(g.subgraph_complement(res.witness).degrees())
         assert achieved == res.achieved_max_degree
         opt, _ = brute_force_min_max_degree(g)
         assert res.achieved_max_degree <= 3 * opt
