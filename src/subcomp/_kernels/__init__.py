@@ -1,4 +1,4 @@
-"""Subset-enumeration kernels of the brute-force oracle, in `pure`.
+"""The subset-enumeration kernel of the brute-force oracle, in `pure`.
 
 BACKEND names the kernel implementation that benchmark results record.
 """

@@ -1,11 +1,11 @@
-"""Pure-Python subset-enumeration kernels.
+"""Pure-Python subset-enumeration kernel.
 
 Adjacency is a sequence of int bitmasks, one row per vertex, row v never
-containing bit v.  Both kernels visit every subset, by size and then in
-lexicographic order of the sorted member tuple, with no pruning, so their
+containing bit v.  The kernel visits every subset, by size and then in
+lexicographic order of the sorted member tuple, with no pruning, so its
 results can serve as ground truth for the clever solvers.
 
-Inside a kernel vertex v is bit n-1-v.  Among sets of one size, the
+Inside the kernel vertex v is bit n-1-v.  Among sets of one size, the
 lexicographic order of member tuples is then decreasing mask order, so the
 complement mask t of the set increases and Gosper's hack steps it to the
 next mask with the same number of bits.  Masks are mapped back to vertex
@@ -25,18 +25,14 @@ def _reverse(mask: int, n: int) -> int:
     return int(f"{mask:0{n}b}"[::-1], 2)
 
 
-def _reversed_rows(rows: Sequence[int], n: int):
-    """Rows and degrees indexed by the kernel's bit b = n-1-v."""
-    rrows = [_reverse(rows[n - 1 - b], n) for b in range(n)]
-    return rrows, [row.bit_count() for row in rrows]
-
-
 def brute_force_search(rows: Sequence[int], n: int, lo: int, hi: int):
     """First subset S (by size, then lexicographic member order) whose
     complementation puts every degree in [lo, hi], as
     (found, mask, subsets_checked).
     """
-    rrows, deg = _reversed_rows(rows, n)
+    # Rows and degrees indexed by the kernel's bit b = n-1-v.
+    rrows = [_reverse(rows[n - 1 - b], n) for b in range(n)]
+    deg = [row.bit_count() for row in rrows]
     # A vertex outside S keeps its degree, so each of these must be in S.
     bad = sum(1 << b for b in range(n) if not lo <= deg[b] <= hi)
     full = (1 << n) - 1
@@ -64,43 +60,3 @@ def brute_force_search(rows: Sequence[int], n: int, lo: int, hi: int):
             r = t + c
             t = (((r ^ t) >> 2) // c) | r
     return False, 0, checked
-
-
-def min_max_degree(rows: Sequence[int], n: int):
-    """Minimum over all subsets S of the post-complementation max degree.
-
-    Returns (value, mask) where mask is the first optimal subset in the
-    size-then-lex enumeration order.
-    """
-    rrows, deg = _reversed_rows(rows, n)
-    full = (1 << n) - 1
-    best = n  # max degree is at most n - 1, so this is beaten immediately
-    best_mask = 0
-    high = 0  # vertices of degree >= best: S must hold them all to beat best
-    for size in range(n + 1):
-        t = (1 << (n - size)) - 1
-        base = size - 1
-        while t <= full:
-            if not high & t:
-                s = full ^ t
-                worst = 0
-                x = s
-                while x:
-                    low = x & -x
-                    b = low.bit_length() - 1
-                    d = deg[b] + base - 2 * (rrows[b] & s).bit_count()
-                    if d >= best:
-                        break
-                    if d > worst:
-                        worst = d
-                    x ^= low
-                else:
-                    best = max([worst] + [deg[b] for b in range(n) if t >> b & 1])
-                    best_mask = s
-                    high = sum(1 << b for b in range(n) if deg[b] >= best)
-            if not t:
-                break
-            c = t & -t
-            r = t + c
-            t = (((r ^ t) >> 2) // c) | r
-    return best, _reverse(best_mask, n)

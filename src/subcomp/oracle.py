@@ -122,7 +122,21 @@ def brute_force_solve(g: Graph, target: TargetPredicate, cap: int = DEFAULT_CAPA
 def brute_force_min_max_degree(g: Graph, cap: int = DEFAULT_CAPACITY) -> tuple[int, tuple[int, ...]]:
     """Exact optimum of min over all sets S of the post-complementation max
     degree, with the first optimal S in size-then-lex order.  Ground truth
-    for the approximation guarantee."""
+    for the approximation guarantee.
+
+    Bisects the bound hi over [0, max degree] with the subset kernel: the
+    optimum is the least hi that some set reaches, and the kernel's first
+    set at that hi is the first optimal set.  The empty set reaches the
+    max degree itself, so the top of the range needs no search.
+    """
     _guard_capacity(g.n, cap)
-    best, mask = pure.min_max_degree(g._rows, g.n)
-    return best, members_of(mask)
+    lo, hi = 0, g.max_degree()
+    best_mask = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        found, mask, _ = pure.brute_force_search(g._rows, g.n, 0, mid)
+        if found:
+            hi, best_mask = mid, mask
+        else:
+            lo = mid + 1
+    return hi, members_of(best_mask)

@@ -73,7 +73,9 @@ def build_crg_reduction(g: Graph, k: int) -> ReductionInstance | None:
     would go negative).  Requires k < n and r < n-1; a complete source
     graph makes the question trivial and the construction degenerate.
     A gadget above MAX_VERTICES vertices (n + t + s + t*a + s*b) raises
-    ValueError before any edge is built.
+    ValueError before any edge is built.  The gadget is built as adjacency
+    rows: the source rows, extended, with each block's edges ORed in as
+    one mask per vertex.
     """
     if k < 0:
         raise ValueError(f"clique size must be non-negative, got {k}")
@@ -104,43 +106,39 @@ def build_crg_reduction(g: Graph, k: int) -> ReductionInstance | None:
             f"the gadget would have {size} vertices, more than {MAX_VERTICES}"
         )
 
-    edges = list(g.edges())
-    kt_lo, kt_hi = n, n + t
-    ks_lo, ks_hi = kt_hi, kt_hi + s
+    rows = list(g._rows) + [0] * (size - n)
+
+    def join(xs: range, ys: range) -> None:
+        """Add every edge between xs and ys; a range joined to itself
+        becomes a clique."""
+        xmask = ((1 << len(xs)) - 1) << xs.start
+        ymask = ((1 << len(ys)) - 1) << ys.start
+        for x in xs:
+            rows[x] |= ymask & ~(1 << x)
+        for y in ys:
+            rows[y] |= xmask & ~(1 << y)
+
+    kt = range(n, n + t)
+    ks = range(n + t, n + t + s)
     blocks: dict[str, tuple[int, int]] = {
         "source": (0, n),
-        "Kt": (kt_lo, kt_hi),
-        "Ks": (ks_lo, ks_hi),
+        "Kt": (kt.start, kt.stop),
+        "Ks": (ks.start, ks.stop),
     }
+    join(kt, kt)
+    join(ks, ks)
+    join(range(n), kt)
+    join(kt, ks)
+    pos = ks.stop
+    for tag, hubs, width in (("Ka", kt, a), ("Kb", ks, b)):
+        for hub in hubs:
+            pendant = range(pos, pos + width)
+            blocks[f"{tag}:{hub}"] = (pos, pos + width)
+            join(pendant, pendant)
+            join(range(hub, hub + 1), pendant)
+            pos += width
 
-    for u, v in combinations(range(kt_lo, kt_hi), 2):
-        edges.append((u, v))
-    for u, v in combinations(range(ks_lo, ks_hi), 2):
-        edges.append((u, v))
-    for u in range(n):
-        for v in range(kt_lo, kt_hi):
-            edges.append((u, v))
-    for u in range(kt_lo, kt_hi):
-        for v in range(ks_lo, ks_hi):
-            edges.append((u, v))
-
-    pos = ks_hi
-    for v in range(kt_lo, kt_hi):
-        blocks[f"Ka:{v}"] = (pos, pos + a)
-        for x, y in combinations(range(pos, pos + a), 2):
-            edges.append((x, y))
-        for x in range(pos, pos + a):
-            edges.append((v, x))
-        pos += a
-    for u in range(ks_lo, ks_hi):
-        blocks[f"Kb:{u}"] = (pos, pos + b)
-        for x, y in combinations(range(pos, pos + b), 2):
-            edges.append((x, y))
-        for x in range(pos, pos + b):
-            edges.append((u, x))
-        pos += b
-
-    g_prime = Graph(pos, edges)
+    g_prime = Graph._from_rows(size, rows)
     params = ReductionParams(n=n, k=k, r=r, s=s, t=t, a=a, b=b)
     return ReductionInstance(g_prime, k_prime, blocks, params)
 

@@ -17,10 +17,10 @@ complement, without building it).  It reads the target's degree range
 vertices of degree outside that range) up to |S| = 2k+1 on an explicit
 stack, drops every set with a member too far from the target to get there
 within that bound, and for the k-regular target also looks for a detached
-regular completion of each small enough set.  Since every search set contains all the input violators, one scan
-of S alone (_first_violator) decides whether a set is a witness.  All
-searches use fixed minimum-id orders so witnesses are deterministic and
-reproducible.
+regular completion of each small enough set.  Since every search set
+contains all the input violators, one scan of S alone (_first_violator)
+decides whether a set is a witness.  All searches use fixed minimum-id
+orders so witnesses are deterministic and reproducible.
 """
 
 from __future__ import annotations
@@ -264,13 +264,12 @@ def solve_min_deg_ge(g: Graph, k: int) -> SolveOutcome:
     search on G itself at bound n-1-k, from V_<k: the witness and every
     counter are those of solve_max_deg_le(g.complement(), n-1-k), without
     the n x n complement.  The branching is therefore bounded by n-1-k, not
-    by k: cheap when k is close to n, expensive when k is small.
+    by k: cheap when k is close to n, expensive when k is small.  The edge
+    cases need no code of their own: at k = 0 (or n = 0) no vertex is out
+    of range and the empty start set is the witness, and at k > n-1 the
+    range is empty and the bound negative, so the spread test refutes the
+    first node.
     """
-    n = g.n
-    if n == 0 or k == 0:
-        return SolveOutcome(True, (), 1, BranchStats(nodes=1))
-    if k > n - 1:
-        return SolveOutcome(False, None, 1, BranchStats(nodes=1))
     return _search(g, k, TargetKind.MIN_DEG_AT_LEAST)
 
 
@@ -291,10 +290,11 @@ def approx_min_max_degree(g: Graph) -> ApproxResult:
     degs = g.degrees()
     delta = max(degs)
     for k in range(g.n):
-        rmask = mask_of(v for v, d in enumerate(degs) if d > k)
+        lo, hi = degree_range(TargetKind.MAX_DEG_AT_MOST, k, g.n)
+        rmask = mask_of(v for v, d in enumerate(degs) if not lo <= d <= hi)
         rsize = rmask.bit_count()
         # Vertices outside R already have degree <= k, so scanning R decides.
-        if _first_violator(g, rmask, rsize, 0, k)[0] < 0:
+        if _first_violator(g, rmask, rsize, lo, hi)[0] < 0:
             achieved = max(
                 g._degree_after_mask(rmask, rsize, v) for v in range(g.n)
             )
@@ -358,8 +358,8 @@ def solve_k_regular(g: Graph, k: int) -> SolveOutcome:
     direct test of V_!=k runs before the max-degree-3k refutation because
     that single candidate is the one solution shape the cardinality bound
     does not cover; an already k-regular graph (the empty graph included)
-    passes it with the empty witness.
+    passes it with the empty witness.  When 0 < n <= k every vertex is in
+    the start set and no completion fits outside it, so the search ends
+    at its first node with nothing pruned.
     """
-    if 0 < g.n <= k:
-        return SolveOutcome(False, None, 1, BranchStats(nodes=1))
     return _search(g, k, TargetKind.REGULAR)

@@ -1,4 +1,5 @@
-"""The subset kernels must match a plain `combinations` sweep exactly.
+"""The subset kernel, and the min-max oracle built on it, must match a
+plain `combinations` sweep exactly.
 
 The reference below keeps its own kind codes and its own comparisons, and
 the fast kernel is called with the range from oracle.degree_range, so the
@@ -9,12 +10,13 @@ import ast
 import pathlib
 from itertools import combinations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subcomp._kernels import BACKEND
-from subcomp._kernels.pure import brute_force_search, min_max_degree
-from subcomp.families import gnp
-from subcomp.oracle import TargetKind, degree_range
+from subcomp._kernels.pure import brute_force_search
+from subcomp.families import empty_graph, gnp
+from subcomp.graph import Graph, members_of
+from subcomp.oracle import TargetKind, brute_force_min_max_degree, degree_range
 
 from conftest import graphs
 
@@ -101,22 +103,30 @@ def test_search_matches_reference(g, kind, k):
     assert got == _reference_search(g._rows, g.n, kind, k)
 
 
+def _reference_min_max_of(g):
+    best, mask = _reference_min_max(g._rows, g.n)
+    return best, members_of(mask)
+
+
 @settings(max_examples=100, deadline=None)
 @given(graphs(max_n=8))
+@example(Graph(0))
+@example(empty_graph(5))
 def test_min_max_degree_matches_reference(g):
-    assert min_max_degree(g._rows, g.n) == _reference_min_max(g._rows, g.n)
+    assert brute_force_min_max_degree(g) == _reference_min_max_of(g)
 
 
 def test_exhaustive_sweep_matches_reference():
     # Two seeded G(n, p) graphs per n, sparse and dense, every kind and k
     for n in range(10):
         for seed, p in enumerate((0.3, 0.7)):
-            rows = gnp(n, p, 100 * n + seed)._rows
+            g = gnp(n, p, 100 * n + seed)
+            rows = g._rows
             for kind in KINDS:
                 for k in range(n + 2):
                     got = _fast_search(rows, n, kind, k)
                     assert got == _reference_search(rows, n, kind, k), (n, seed, kind, k)
-            assert min_max_degree(rows, n) == _reference_min_max(rows, n), (n, seed)
+            assert brute_force_min_max_degree(g) == _reference_min_max_of(g), (n, seed)
 
 
 def test_dispatch_handles_wide_graphs():
@@ -131,8 +141,8 @@ def test_dispatch_small_graph():
     rows = [0b110, 0b101, 0b011]  # triangle, already 2-regular
     found, mask, checked = brute_force_search(rows, 3, 2, 2)
     assert found and mask == 0 and checked == 1
-    best, bmask = min_max_degree(rows, 3)
-    assert best == 0 and bmask == 0b111
+    triangle = Graph(3, [(0, 1), (0, 2), (1, 2)])
+    assert brute_force_min_max_degree(triangle) == (0, (0, 1, 2))
 
 
 def _runtime_imports(path):
@@ -158,8 +168,9 @@ def _imports_solvers(path):
 
 
 def test_oracle_imports_nothing_from_solvers():
-    # The oracle validates the solvers, so it must not run their code.
+    # The oracle and the hardness gadget validate the solvers, so neither
+    # may run their code.
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "subcomp"
     assert _imports_solvers(src / "cli.py")  # the check sees a real import
-    for path in [src / "oracle.py", *(src / "_kernels").glob("*.py")]:
+    for path in [src / "oracle.py", src / "reduction.py", *(src / "_kernels").glob("*.py")]:
         assert not _imports_solvers(path), path

@@ -1,8 +1,11 @@
 """Gadget construction, witness translation, and small-scale equivalence."""
 
+from math import comb
+
 import pytest
 
 from subcomp.families import complete, cycle, path, prism
+from subcomp.graph import Graph
 from subcomp.oracle import brute_force_solve, check, max_deg_at_most
 from subcomp.reduction import (
     GadgetInvariantError,
@@ -13,6 +16,9 @@ from subcomp.reduction import (
     forward_witness,
 )
 from subcomp.solvers import solve_max_deg_le
+
+# The circulant C_10(1, 2): 4-regular on 10 vertices.
+C10_12 = Graph(10, [(i, (i + j) % 10) for i in range(10) for j in (1, 2)])
 
 
 class TestBuild:
@@ -79,6 +85,25 @@ class TestBuild:
                     expect = wanted[label]
                 for v in range(lo, hi):
                     assert g.degree(v) == expect, (label, v)
+
+    @pytest.mark.parametrize(
+        "src",
+        [cycle(4), cycle(5), cycle(6), cycle(7), prism(), C10_12],
+        ids=["C4", "C5", "C6", "C7", "prism", "C10(1,2)"],
+    )
+    def test_rows_form_a_simple_graph_of_closed_form_size(self, src):
+        r = src.degree(0)
+        for k in range(2, r + 2):
+            inst = build_crg_reduction(src, k)
+            g = inst.g_prime
+            # The gadget's rows are trusted by Graph._from_rows; rebuilding
+            # from the edge list shows they are symmetric and loop-free.
+            assert Graph(g.n, g.edges()) == g, k
+            p = inst.params
+            assert g.m == (
+                p.n * r // 2 + comb(p.t, 2) + comb(p.s, 2) + p.n * p.t + p.t * p.s
+                + p.t * (comb(p.a, 2) + p.a) + p.s * (comb(p.b, 2) + p.b)
+            ), k
 
     def test_source_copy_preserved(self):
         src = prism()

@@ -473,6 +473,16 @@ PINNED_SEARCHES = [
     ("regular", _near_regular(30, 4, 1, removed=2), 4, False, None, (89, 2, 0, 77, 0), 11434),
     ("regular", _planted(30, 4, 3, 0), 4, True, (0, 3, 27), (1, 0, 0, 0, 0), 1),
     ("maxdeg", _near_regular(40, 5, 3, added=2), 5, False, None, (148, 5, 0, 97, 0), 1817),
+    # The edge cases that the search decides at its first node: no vertex
+    # out of range (mindeg at n = 0 or k = 0), an empty range (mindeg at
+    # k > n-1), and no room for a k-regular graph (0 < n <= k).
+    ("mindeg", Graph(0), 0, True, (), (1, 0, 0, 0, 0), 1),
+    ("mindeg", gnp(8, 0.5, 2), 0, True, (), (1, 0, 0, 0, 0), 1),
+    ("mindeg", gnp(8, 0.5, 2), 8, False, None, (1, 0, 0, 0, 0), 1),
+    ("mindeg", gnp(8, 0.5, 2), 13, False, None, (1, 0, 0, 0, 0), 1),
+    ("regular", path(3), 3, False, None, (1, 0, 0, 0, 0), 1),
+    ("regular", path(3), 9, False, None, (1, 0, 0, 0, 0), 1),
+    ("regular", Graph(0), 0, True, (), (1, 0, 0, 0, 0), 1),
 ]
 
 
