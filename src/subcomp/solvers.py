@@ -15,12 +15,13 @@ that serves all three exact decisions (min degree as max degree in the
 complement, without building it).  It reads the target's degree range
 [lo, hi] from oracle.degree_range, grows S from the forced violators (the
 vertices of degree outside that range) up to |S| = 2k+1 on an explicit
-stack, drops every set with a member too far from the target to get there
-within that bound, and for the k-regular target also looks for a detached
-regular completion of each small enough set.  Since every search set
-contains all the input violators, one scan of S alone (_first_violator)
-decides whether a set is a witness.  All searches use fixed minimum-id
-orders so witnesses are deterministic and reproducible.
+stack, never adding a vertex that an earlier sibling of the set or of an
+ancestor added, drops every set with a member too far from the target to
+get there within that bound, and for the k-regular target also looks for
+a detached regular completion of each small enough set.  Since every
+search set contains all the input violators, one scan of S alone
+(_first_violator) decides whether a set is a witness.  All searches use
+fixed minimum-id orders so witnesses are deterministic and reproducible.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ class BranchStats:
     with a member whose degree lies further from the target range than the
     2k+1 - |S| vertices still allowed can move it, and pruned_by_maxdeg
     (max- and min-degree searches) counts sets whose minimum-id violator
-    has no original neighbor (for min degree: non-neighbor) left outside
-    the set, so no child can repair it.
+    has fewer original neighbors (for min degree: non-neighbors) outside
+    the set and not excluded than its distance from the target range, so
+    no descendant can repair it.
     """
 
     nodes: int = 0
@@ -100,19 +102,20 @@ def trivial_high_max_degree_witness(g: Graph, k: int) -> tuple[int, ...] | None:
 
 def _first_violator(
     g: Graph, smask: int, ssize: int, lo: int, hi: int, slack: int = 0
-) -> tuple[int, int]:
+) -> tuple[int, int, int]:
     """Minimum-id member of S whose post-complementation degree leaves [lo, hi].
 
-    Returns (violator, worst): the violator is -1 when every member
-    complies, and worst is the largest distance of a member's degree from
-    [lo, hi] seen by the scan.  The scan stops as soon as worst exceeds
-    `slack`, so with the default 0 it ends at the first violator.  Only S
-    is scanned: a vertex outside S keeps its degree, so the caller must
-    know that those comply.
+    Returns (violator, need, worst): the violator is -1 when every member
+    complies, need is the violator's own distance from [lo, hi] (0 when
+    there is none), and worst is the largest distance of a member's degree
+    from [lo, hi] seen by the scan.  The scan stops as soon as worst
+    exceeds `slack`, so with the default 0 it ends at the first violator.
+    Only S is scanned: a vertex outside S keeps its degree, so the caller
+    must know that those comply.
     """
     rows = g._rows
     first = -1
-    worst = 0
+    need = worst = 0
     rest = smask
     while rest:
         low = rest & -rest
@@ -123,11 +126,12 @@ def _first_violator(
         if excess > worst:
             if first < 0:
                 first = v
+                need = excess
             worst = excess
             if worst > slack:
                 break
         rest ^= low
-    return first, worst
+    return first, need, worst
 
 
 def _search(g: Graph, k: int, kind: TargetKind) -> SolveOutcome:
@@ -155,11 +159,25 @@ def _search(g: Graph, k: int, kind: TargetKind) -> SolveOutcome:
     sets get children that add one vertex: for max degree <= k an original
     neighbor of the minimum-id violator (only that deletes one of its
     edges), for min degree a non-neighbor of it (only that adds one), for
-    k-regular any neighbor of the set, after a set of size <= k has first
-    tried find_regular_extension.  Children are visited in increasing id
-    and sets already seen are skipped.  The stack holds one (set, size,
-    untried children) frame per level, so the depth is bounded by 2K+1 and
-    not by the recursion limit.
+    k-regular any neighbor of the set, after a set of size < k has first
+    tried find_regular_extension.  Children are visited in increasing id.
+
+    Each set also carries `out`, the vertices excluded from its subtree:
+    those its ancestors and its earlier siblings already added as children.
+    A child inherits its parent's current `out`, and once the child has
+    been taken the parent's `out` gains it.  The subtree of a set is complete for the
+    solutions that contain the set and avoid its `out`, so a set holding
+    an excluded u is a superset of the failed sibling that added u, and
+    skipping it loses no solution; the sets that remain keep their order,
+    so the witness is the one the search without exclusion finds.  Two
+    paths that split add different children, and the later one excludes
+    the earlier, so no set is reached twice.  `out` also bounds what the
+    subtree can still add: for max and min degree every added vertex moves
+    the minimum-id violator's degree by exactly one, toward the range only
+    if it is one of the set's untried children, so a set with fewer of
+    those than the violator's distance from the range is pruned.  The stack
+    holds one (set, size, untried children, out) frame per level, so the
+    depth is bounded by 2K+1 and not by the recursion limit.
     """
     n = g.n
     rows = g._rows
@@ -175,7 +193,7 @@ def _search(g: Graph, k: int, kind: TargetKind) -> SolveOutcome:
     )
     stats = BranchStats(nodes=1)
     ssize = smask.bit_count()
-    viol, worst = _first_violator(g, smask, ssize, lo, hi, limit - ssize)
+    viol, need, worst = _first_violator(g, smask, ssize, lo, hi, limit - ssize)
     if viol < 0:
         return SolveOutcome(True, members_of(smask), stats.nodes, stats)
     # A solution would strictly contain the failed start set plus a vertex
@@ -186,7 +204,7 @@ def _search(g: Graph, k: int, kind: TargetKind) -> SolveOutcome:
     if spread > 3 * bound or (not regular and ssize >= limit):
         return SolveOutcome(False, None, stats.nodes, stats)
 
-    visited = {smask}
+    out = 0
     stack = []
     while True:
         if ssize >= limit:
@@ -197,36 +215,36 @@ def _search(g: Graph, k: int, kind: TargetKind) -> SolveOutcome:
             near = smask
             for u in members_of(smask):
                 near |= rows[u]
-            if ssize <= k:
+            if ssize < k:
                 cmask = find_regular_extension(g, smask, ssize, near, k)
                 if cmask:
                     witness = members_of(smask | cmask)
                     return SolveOutcome(True, witness, stats.nodes, stats)
-            stack.append((smask, ssize, near & ~smask))
+            stack.append((smask, ssize, near & ~smask & ~out, out))
         else:
-            untried = (rows[viol] ^ flip) & ~smask
-            if untried:
-                stack.append((smask, ssize, untried))
+            untried = (rows[viol] ^ flip) & ~smask & ~out
+            if untried.bit_count() >= need:
+                stack.append((smask, ssize, untried, out))
             else:
-                # Every vertex still outside S would move the violator's
-                # degree the wrong way.
+                # Only an untried child moves the violator toward the
+                # target, by one; every other vertex the subtree can add
+                # moves it away.
                 stats.pruned_by_maxdeg += 1
 
         while stack:
-            parent, psize, untried = stack[-1]
+            parent, psize, untried, out = stack[-1]
             if not untried:
                 stack.pop()
                 continue
             low = untried & -untried
-            stack[-1] = (parent, psize, untried ^ low)
+            stack[-1] = (parent, psize, untried ^ low, out | low)
             smask = parent | low
-            if smask in visited:
-                continue
-            visited.add(smask)
             stats.nodes += 1
             stats.max_depth = max(stats.max_depth, len(stack))
             ssize = psize + 1
-            viol, worst = _first_violator(g, smask, ssize, lo, hi, limit - ssize)
+            viol, need, worst = _first_violator(
+                g, smask, ssize, lo, hi, limit - ssize
+            )
             if viol < 0:
                 return SolveOutcome(True, members_of(smask), stats.nodes, stats)
             break
@@ -246,8 +264,8 @@ def solve_max_deg_le(g: Graph, k: int) -> SolveOutcome:
     give immediate refutations.  Otherwise branch: the minimum-id vertex v
     still above the bound can only be fixed by pulling one of its original
     neighbors w into the set (that deletes the edge vw), so the children
-    are S + {w} for each such w in increasing id.  Already-visited sets are
-    skipped; the first compliant set in this DFS order is the witness.
+    are S + {w} for each such w in increasing id; the first compliant set
+    in this DFS order is the witness.
     """
     return _search(g, k, TargetKind.MAX_DEG_AT_MOST)
 
@@ -317,22 +335,25 @@ def find_regular_extension(
     the mask `near`), such that complementing S + C makes the graph
     k-regular, or 0 when there is none.  This is a step of _search, which
     calls it only when S is non-empty, holds every vertex of degree != k,
-    has |S| = `ssize` <= k, and the input max degree is at most 3k.
+    has |S| = `ssize` < k, and the input max degree is at most 3k.
 
-    After the complementation every member of C becomes adjacent to all of
-    S, so |C| <= k; and a connected C lies within distance k-1 of any of
-    its vertices, so for each start vertex v only subsets of the
-    radius-(k-1) ball around v need checking.  Since C avoids N(S), every
-    member b of S gains all of C and keeps its own edges, ending with
-    degree d(b) + |S| + |C| - 1 - 2|N(b) & S|: the members must agree on
-    one |C| in 1..k, or there is no completion.  Vertices outside S + C
-    keep their degree k, so scanning S + C decides.  Enumeration is by
-    start vertex, then lexicographic order, and the first verified
-    completion wins.
+    Since C avoids N(S), every member b of S gains all of C and keeps its
+    own edges, ending with degree d(b) + |S| + |C| - 1 - 2|N(b) & S|: the
+    members must agree on one |C|, which is at most k, or there is no
+    completion.  C has a shape too.  Each c in C has degree k (S holds
+    every other degree) and no neighbor in S, so it ends with degree
+    k + |S| + |C| - 1 - 2|N(c) & C|, and G[C] must be d-regular with
+    d = (|S| + |C| - 1)/2.  So |S| + |C| is odd, and d <= |C| - 1 gives
+    |C| >= |S| + 1 (hence |S| < k); a size that breaks either is refused
+    before any ball is built.  Since d >= |C|/2, C is connected, so for
+    each start vertex v only subsets of the radius-(k-1) ball around v
+    need checking.  Vertices outside S + C keep their degree k, so
+    scanning S + C decides.  Enumeration is by start vertex, then
+    lexicographic order, and the first verified completion wins.
     """
     sizes = {k - g._degree_after_mask(smask, ssize, b) for b in members_of(smask)}
     csize = sizes.pop()
-    if sizes or not 1 <= csize <= k:
+    if sizes or not ssize < csize <= k or (ssize + csize) % 2 == 0:
         return 0
     for v in range(g.n):
         if near >> v & 1:
@@ -350,7 +371,7 @@ def solve_k_regular(g: Graph, k: int) -> SolveOutcome:
 
     Every solution contains V_!=k, and splits into a part S' whose induced
     components each touch V_!=k plus at most one detached component C that
-    find_regular_extension can recover whenever |S'| <= k.  The search
+    find_regular_extension recovers; C needs |S'| < k.  The search
     therefore grows S' from V_!=k one neighbor at a time; at each set it
     first tests the set itself, prunes at the |S| <= 2k+1 cardinality
     bound or by slack, then tries the detached completion, and otherwise

@@ -19,6 +19,7 @@ from subcomp.oracle import (
     min_deg_at_least,
     regular,
 )
+from subcomp.reduction import build_crg_reduction
 from subcomp.solvers import (
     approx_min_max_degree,
     find_regular_extension,
@@ -240,13 +241,26 @@ def _completion(g, seeds, k):
     return find_regular_extension(g, smask, len(seeds), near, k)
 
 
-def _check_completion(g, k):
-    """The completion of V_!=k against a restricted oracle, if _search calls it."""
+def _small_graphs():
+    """All 1,099 labelled graphs on one to five vertices."""
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            yield Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
+def _contract_seeds(g, k):
+    """Every S on which _search may call find_regular_extension."""
     if g.max_degree() > 3 * k:
         return
-    seeds = tuple(v for v in range(g.n) if g.degree(v) != k)
-    if not (0 < len(seeds) <= k):
-        return
+    forced = mask_of(v for v in range(g.n) if g.degree(v) != k)
+    for smask in range(1, 1 << g.n):
+        if smask & forced == forced and smask.bit_count() < k:
+            yield members_of(smask)
+
+
+def _check_completion(g, seeds, k):
+    """The completion of `seeds` against a restricted oracle; returns it."""
     c = _completion(g, seeds, k)
     # restricted oracle: a non-empty C of at most k vertices outside N[S]
     near = mask_of(u for v in seeds for u in g.closed_neighborhood(v))
@@ -258,9 +272,13 @@ def _check_completion(g, k):
     )
     assert bool(c) == exists
     if c:
-        assert 1 <= c.bit_count() <= k
         assert c & near == 0
         assert check(g, members_of(mask_of(seeds) | c), regular(k))
+        # G[C] is d-regular with d = (|S| + |C| - 1) / 2, so |C| > |S|
+        d, odd = divmod(len(seeds) + c.bit_count() - 1, 2)
+        assert not odd and len(seeds) < c.bit_count() <= k
+        assert all((g._rows[v] & c).bit_count() == d for v in members_of(c))
+    return c
 
 
 class TestFindRegularExtension:
@@ -283,19 +301,45 @@ class TestFindRegularExtension:
         assert _completion(g, (0, 1), 4) == 0
 
     @settings(max_examples=60, deadline=None)
-    @given(graphs(min_n=1, max_n=6), st.integers(1, 3))
+    @given(graphs(min_n=1, max_n=6), st.integers(2, 4))
     def test_returned_completion_is_valid(self, g, k):
-        _check_completion(g, k)
+        for seeds in _contract_seeds(g, k):
+            _check_completion(g, seeds, k)
 
     def test_all_graphs_up_to_five_vertices(self):
-        # random graphs rarely admit a completion; these 1,099 labelled
-        # graphs give 829 sets that meet the contract, 19 with a completion
-        for n in range(1, 6):
-            pairs = list(combinations(range(n), 2))
-            for bits in range(1 << len(pairs)):
-                g = Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
-                for k in (1, 2, 3):
-                    _check_completion(g, k)
+        # every set that meets the contract on the small graphs; random
+        # graphs rarely admit a completion
+        sets = found = 0
+        for g in _small_graphs():
+            for k in (2, 3, 4):
+                for seeds in _contract_seeds(g, k):
+                    sets += 1
+                    found += bool(_check_completion(g, seeds, k))
+        assert (sets, found) == (575, 19)
+
+    def test_shape_refusal_builds_no_ball(self, monkeypatch):
+        # the members of S agree on |C|, but no G[C] of that size can be
+        # d-regular with d = (|S| + |C| - 1) / 2
+        def no_ball(self, v, radius):
+            raise AssertionError("ball built")
+
+        monkeypatch.setattr(Graph, "ball", no_ball)
+        refused = 0
+        for g in _small_graphs():
+            for k in (2, 3, 4):
+                for seeds in _contract_seeds(g, k):
+                    sizes = {k - g.degree_after_complement(seeds, b) for b in seeds}
+                    csize = sizes.pop()
+                    if sizes or not 1 <= csize <= k:
+                        continue
+                    if csize <= len(seeds) or (len(seeds) + csize) % 2 == 0:
+                        assert _completion(g, seeds, k) == 0
+                        refused += 1
+        assert refused
+        # |C| < |S| with |S| + |C| odd needs a free vertex of degree k
+        # outside N[S], so more room: S is an edge of the cube and |C| = 1
+        cube = Graph(8, [(u, u | b) for u in range(8) for b in (1, 2, 4) if not u & b])
+        assert _completion(cube, (0, 1), 3) == 0
 
 
 class TestSolveKRegular:
@@ -369,6 +413,41 @@ def test_matches_brute_beyond_hypothesis_sizes(n):
                     assert check(g, out.witness, predicate(k))
 
 
+def _blow_up(seed):
+    """Seeded twin-rich graph on at most 12 vertices.
+
+    Each vertex of a seeded G(m, p) becomes 1 to 3 copies, which form an
+    independent set or a clique, and copies of adjacent vertices are
+    joined.  Odd seeds relabel the result with a seeded permutation, so
+    the twins are not consecutive ids.
+    """
+    rng = random.Random(seed)
+    copies = [rng.randint(1, 3) for _ in range(rng.randint(3, 6))]
+    while sum(copies) > 12:
+        copies.pop()
+    base = gnp(len(copies), rng.choice((0.3, 0.5, 0.7)), seed)
+    starts = [sum(copies[:v]) for v in range(len(copies))]
+    blocks = [range(a, a + c) for a, c in zip(starts, copies)]
+    edges = [e for b in blocks if rng.random() < 0.5 for e in combinations(b, 2)]
+    edges += [(a, b) for u, v in base.edges() for a in blocks[u] for b in blocks[v]]
+    n = sum(copies)
+    perm = rng.sample(range(n), n) if seed % 2 else range(n)
+    return Graph(n, [(perm[a], perm[b]) for a, b in edges])
+
+
+@pytest.mark.parametrize("target", _SOLVERS)
+def test_matches_brute_on_twin_rich_blow_ups(target):
+    # twins are where exclusion cuts hardest
+    for seed in range(120):
+        g = _blow_up(seed)
+        for k in range(min(g.n, 6) + 2):
+            out = _SOLVERS[target](g, k)
+            ref = brute_force_solve(g, _PREDICATES[target](k))
+            assert out.answer == ref.answer, (seed, k)
+            if out.answer:
+                assert check(g, out.witness, _PREDICATES[target](k))
+
+
 def _near_regular(n, d, seed, removed=0, added=0):
     """Seeded random d-regular graph, then perturbed.
 
@@ -414,14 +493,25 @@ def _planted(n, k, size, seed):
     return g.subgraph_complement(sorted(part))
 
 
+# The k = 3 gadget of the circulant C_40(1, 3, 5), 2,024 vertices; the
+# source is bipartite, so it has no triangle and the answer is no.
+_C40_135_GADGET = build_crg_reduction(
+    Graph(40, [(i, (i + j) % 40) for i in range(40) for j in (1, 3, 5)]), 3
+).g_prime
+
+
 # (target, graph, k, answer, witness, (nodes, max_depth, pruned_by_size,
-# pruned_by_slack, pruned_by_maxdeg), nodes before the slack prune).  The
+# pruned_by_slack, pruned_by_maxdeg), an upper bound on nodes).  The
 # answers and witnesses were recorded from the recursive searches that the
-# one iterative core replaced (the last four rows from the core before the
-# slack prune and the fixed completion size), and the counters from the
-# search with both.  The order children are visited in decides the witness
-# and every counter, so this table pins that order; pruning must never
-# visit more sets than the search without it.
+# one iterative core replaced (the four rows on n = 30 and n = 40 graphs
+# from the core before the slack prune and the fixed completion size), and the
+# counters from the search with slack, exclusion and availability; the
+# counters of the star(6), star(9) and n = 40 maxdeg rows changed when
+# exclusion and availability came in, and no other row's did.  The bound
+# is the node count before the slack prune, or, for the hard searches at
+# the end, the count before exclusion and availability.  The order children
+# are visited in decides the witness and every counter, so this table pins
+# that order; pruning must never visit more sets than the search without it.
 PINNED_SEARCHES = [
     ("maxdeg", gnp(10, 0.22, 0), 1, True, (5, 6), (1, 0, 0, 0, 0), 1),
     ("maxdeg", gnp(10, 0.22, 1), 1, False, None, (1, 0, 0, 0, 0), 1),
@@ -462,8 +552,8 @@ PINNED_SEARCHES = [
     ("maxdeg", gnp(10, 0.44, 5), 3, True, (2, 3, 5, 7, 8, 9), (5, 2, 0, 2, 0), 7),
     ("maxdeg", gnp(10, 0.56, 4), 4, True, (0, 1, 3, 4, 5, 6, 8, 9), (3, 1, 0, 0, 1), 3),
     ("maxdeg", star(5), 2, True, (0, 1, 2, 3), (4, 3, 0, 0, 0), 4),
-    ("maxdeg", star(6), 2, False, None, (57, 4, 15, 0, 0), 57),
-    ("maxdeg", star(9), 3, False, None, (466, 6, 84, 0, 0), 466),
+    ("maxdeg", star(6), 2, False, None, (50, 4, 15, 0, 15), 57),
+    ("maxdeg", star(9), 3, False, None, (336, 6, 84, 0, 126), 466),
     ("regular", star(3), 1, True, (0, 1, 2), (3, 2, 0, 0, 0), 3),
     ("maxdeg", cycle(5), 1, False, None, (1, 0, 0, 0, 0), 1),
     ("regular", Graph(5, cycle(4).edges()), 2, True, (0, 1, 4), (1, 0, 0, 0, 0), 1),
@@ -472,7 +562,7 @@ PINNED_SEARCHES = [
     ("regular", _near_regular(30, 4, 0, removed=2), 4, False, None, (85, 2, 0, 73, 0), 9992),
     ("regular", _near_regular(30, 4, 1, removed=2), 4, False, None, (89, 2, 0, 77, 0), 11434),
     ("regular", _planted(30, 4, 3, 0), 4, True, (0, 3, 27), (1, 0, 0, 0, 0), 1),
-    ("maxdeg", _near_regular(40, 5, 3, added=2), 5, False, None, (148, 5, 0, 97, 0), 1817),
+    ("maxdeg", _near_regular(40, 5, 3, added=2), 5, False, None, (105, 4, 0, 60, 7), 1817),
     # The edge cases that the search decides at its first node: no vertex
     # out of range (mindeg at n = 0 or k = 0), an empty range (mindeg at
     # k > n-1), and no room for a k-regular graph (0 < n <= k).
@@ -483,6 +573,16 @@ PINNED_SEARCHES = [
     ("regular", path(3), 3, False, None, (1, 0, 0, 0, 0), 1),
     ("regular", path(3), 9, False, None, (1, 0, 0, 0, 0), 1),
     ("regular", Graph(0), 0, True, (), (1, 0, 0, 0, 0), 1),
+    # A start set of exactly 2K+1 vertices that fails, with max degree
+    # <= 3K: the start refutation, not the size prune, must end it.
+    ("maxdeg", path(5), 1, False, None, (1, 0, 0, 0, 0), 1),
+    # Hard searches: interchangeable leaves, a dense mindeg search and a
+    # clique gadget.
+    ("maxdeg", star(18), 6, False, None, (55198, 10, 0, 18018, 25740), 199140),
+    ("mindeg", gnp(30, 0.6, 7), 17, True,
+     (2, 3, 4, 6, 7, 8, 9, 12, 13, 14, 17, 18, 20, 25, 28),
+     (7229, 12, 0, 708, 3266), 54308),
+    ("maxdeg", _C40_135_GADGET, 44, False, None, (1718, 8, 0, 116, 836), 105562),
 ]
 
 
