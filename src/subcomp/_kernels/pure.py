@@ -12,7 +12,8 @@ next mask with the same number of bits.  Masks are mapped back to vertex
 numbering on the way out.
 
 A target is the degree range [lo, hi] that every vertex must land in
-(subcomp.oracle.degree_range).
+(subcomp.oracle.degree_range).  A member b of S ends with neighborhood
+N(b) xor (S minus b), so with degree |N(b) xor S| - 1.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ def brute_force_search(rows: Sequence[int], n: int, lo: int, hi: int):
     checked = 0
     for size in range(n + 1):
         t = (1 << (n - size)) - 1  # complement of {0, ..., size-1}
-        base = size - 1
         while t <= full:
             checked += 1
             if not bad & t:
@@ -48,7 +48,7 @@ def brute_force_search(rows: Sequence[int], n: int, lo: int, hi: int):
                 while x:
                     low = x & -x
                     b = low.bit_length() - 1
-                    d = deg[b] + base - 2 * (rrows[b] & s).bit_count()
+                    d = (rrows[b] ^ s).bit_count() - 1
                     if not lo <= d <= hi:
                         break
                     x ^= low

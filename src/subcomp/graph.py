@@ -45,25 +45,21 @@ class Graph:
     instances are safe to share freely (including across threads).
     """
 
-    __slots__ = ("n", "_rows", "_m")
+    __slots__ = ("n", "_rows")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         rows = [0] * n
-        m = 0
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop ({u}, {v}) is not allowed")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
-            if not rows[u] >> v & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-                m += 1
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         self.n = n
         self._rows = tuple(rows)
-        self._m = m
 
     @classmethod
     def _from_rows(cls, n: int, rows: Iterable[int]) -> "Graph":
@@ -71,14 +67,14 @@ class Graph:
         g = cls.__new__(cls)
         g.n = n
         g._rows = tuple(rows)
-        g._m = sum(r.bit_count() for r in g._rows) // 2
         return g
 
     # -- basic queries -------------------------------------------------
 
     @property
     def m(self) -> int:
-        return self._m
+        """Number of edges, computed on demand from the rows."""
+        return sum(r.bit_count() for r in self._rows) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
@@ -143,9 +139,7 @@ class Graph:
     def _complement_mask(self, smask: int) -> "Graph":
         rows = list(self._rows)
         for v in members_of(smask):
-            inside = rows[v] & smask
-            flipped = smask & ~rows[v] & ~(1 << v)
-            rows[v] = (rows[v] ^ inside) | flipped
+            rows[v] ^= smask ^ 1 << v
         return Graph._from_rows(self.n, rows)
 
     def degree_after_complement(self, vertices: Iterable[int], v: int) -> int:
@@ -153,17 +147,19 @@ class Graph:
 
         For v outside the set the degree is unchanged.  For v inside, each
         of its in-set neighbors is lost and every in-set non-neighbor is
-        gained, giving d(v) + |S| - 1 - 2 * |N(v) ∩ (S \\ {v})|.
+        gained, so its new neighborhood is N(v) △ (S \\ {v}) and its degree
+        is |N(v) △ S| - 1 (v is in S but not in N(v)).  Counting the lost
+        and gained vertices instead gives d(v) + |S| - 1 - 2|N(v) ∩ S|, the
+        same number, since |A △ B| = |A| + |B| - 2|A ∩ B|.
         """
         self._check_vertex(v)
-        smask = self._subset_mask(vertices)
-        return self._degree_after_mask(smask, smask.bit_count(), v)
+        return self._degree_after_mask(self._subset_mask(vertices), v)
 
-    def _degree_after_mask(self, smask: int, ssize: int, v: int) -> int:
+    def _degree_after_mask(self, smask: int, v: int) -> int:
         row = self._rows[v]
         if not smask >> v & 1:
             return row.bit_count()
-        return row.bit_count() + ssize - 1 - 2 * (row & smask).bit_count()
+        return (row ^ smask).bit_count() - 1
 
     def complement(self) -> "Graph":
         """The edge complement over all vertex pairs."""
@@ -236,4 +232,4 @@ class Graph:
     def __repr__(self) -> str:
         if self.n <= 8:
             return f"Graph({self.n}, {self.edges()})"
-        return f"Graph(n={self.n}, m={self._m})"
+        return f"Graph(n={self.n}, m={self.m})"

@@ -99,11 +99,8 @@ def _guard_capacity(n: int, cap: int) -> None:
 def check(g: Graph, vertices, target: TargetPredicate) -> bool:
     """True iff complementing the given set lands the graph in the target class."""
     smask = g._subset_mask(vertices)
-    ssize = smask.bit_count()
     lo, hi = degree_range(target.kind, target.k, g.n)
-    return all(
-        lo <= g._degree_after_mask(smask, ssize, v) <= hi for v in range(g.n)
-    )
+    return all(lo <= g._degree_after_mask(smask, v) <= hi for v in range(g.n))
 
 
 def brute_force_solve(g: Graph, target: TargetPredicate, cap: int = DEFAULT_CAPACITY) -> SolveOutcome:

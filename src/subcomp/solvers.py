@@ -87,12 +87,13 @@ def trivial_low_min_degree_witness(g: Graph, k: int) -> tuple[int, ...]:
 
 
 def trivial_high_max_degree_witness(g: Graph, k: int) -> tuple[int, ...] | None:
-    """Witness set making max degree >= k, or None when k > n-1.
+    """Witness set making max degree >= k, or None when k > n-1 or n = 0.
 
     Complementing V minus N(v) makes v universal (degree n-1); no graph on
-    n vertices can reach degree k beyond that.
+    n vertices can reach degree k beyond that, and the empty graph has no
+    vertex to make universal.
     """
-    if k > g.n - 1:
+    if not g.n or k > g.n - 1:
         return None
     return members_of(((1 << g.n) - 1) & ~g._rows[0])
 
@@ -101,7 +102,7 @@ def trivial_high_max_degree_witness(g: Graph, k: int) -> tuple[int, ...] | None:
 
 
 def _first_violator(
-    g: Graph, smask: int, ssize: int, lo: int, hi: int, slack: int = 0
+    g: Graph, smask: int, lo: int, hi: int, slack: int = 0
 ) -> tuple[int, int, int]:
     """Minimum-id member of S whose post-complementation degree leaves [lo, hi].
 
@@ -120,8 +121,7 @@ def _first_violator(
     while rest:
         low = rest & -rest
         v = low.bit_length() - 1
-        row = rows[v]
-        d = row.bit_count() + ssize - 1 - 2 * (row & smask).bit_count()
+        d = (rows[v] ^ smask).bit_count() - 1  # v's new row is N(v) xor (S - v)
         excess = lo - d if d < lo else d - hi
         if excess > worst:
             if first < 0:
@@ -176,8 +176,9 @@ def _search(g: Graph, k: int, kind: TargetKind) -> SolveOutcome:
     the minimum-id violator's degree by exactly one, toward the range only
     if it is one of the set's untried children, so a set with fewer of
     those than the violator's distance from the range is pruned.  The stack
-    holds one (set, size, untried children, out) frame per level, so the
-    depth is bounded by 2K+1 and not by the recursion limit.
+    holds one (set, untried children, out) frame per level, so the depth is
+    bounded by 2K+1 and not by the recursion limit; |S| is read off the set
+    once per node.
     """
     n = g.n
     rows = g._rows
@@ -193,7 +194,7 @@ def _search(g: Graph, k: int, kind: TargetKind) -> SolveOutcome:
     )
     stats = BranchStats(nodes=1)
     ssize = smask.bit_count()
-    viol, need, worst = _first_violator(g, smask, ssize, lo, hi, limit - ssize)
+    viol, need, worst = _first_violator(g, smask, lo, hi, limit - ssize)
     if viol < 0:
         return SolveOutcome(True, members_of(smask), stats.nodes, stats)
     # A solution would strictly contain the failed start set plus a vertex
@@ -216,15 +217,15 @@ def _search(g: Graph, k: int, kind: TargetKind) -> SolveOutcome:
             for u in members_of(smask):
                 near |= rows[u]
             if ssize < k:
-                cmask = find_regular_extension(g, smask, ssize, near, k)
+                cmask = find_regular_extension(g, smask, near, k)
                 if cmask:
                     witness = members_of(smask | cmask)
                     return SolveOutcome(True, witness, stats.nodes, stats)
-            stack.append((smask, ssize, near & ~smask & ~out, out))
+            stack.append((smask, near & ~smask & ~out, out))
         else:
             untried = (rows[viol] ^ flip) & ~smask & ~out
             if untried.bit_count() >= need:
-                stack.append((smask, ssize, untried, out))
+                stack.append((smask, untried, out))
             else:
                 # Only an untried child moves the violator toward the
                 # target, by one; every other vertex the subtree can add
@@ -232,19 +233,17 @@ def _search(g: Graph, k: int, kind: TargetKind) -> SolveOutcome:
                 stats.pruned_by_maxdeg += 1
 
         while stack:
-            parent, psize, untried, out = stack[-1]
+            parent, untried, out = stack[-1]
             if not untried:
                 stack.pop()
                 continue
             low = untried & -untried
-            stack[-1] = (parent, psize, untried ^ low, out | low)
+            stack[-1] = (parent, untried ^ low, out | low)
             smask = parent | low
             stats.nodes += 1
             stats.max_depth = max(stats.max_depth, len(stack))
-            ssize = psize + 1
-            viol, need, worst = _first_violator(
-                g, smask, ssize, lo, hi, limit - ssize
-            )
+            ssize = smask.bit_count()
+            viol, need, worst = _first_violator(g, smask, lo, hi, limit - ssize)
             if viol < 0:
                 return SolveOutcome(True, members_of(smask), stats.nodes, stats)
             break
@@ -310,12 +309,9 @@ def approx_min_max_degree(g: Graph) -> ApproxResult:
     for k in range(g.n):
         lo, hi = degree_range(TargetKind.MAX_DEG_AT_MOST, k, g.n)
         rmask = mask_of(v for v, d in enumerate(degs) if not lo <= d <= hi)
-        rsize = rmask.bit_count()
         # Vertices outside R already have degree <= k, so scanning R decides.
-        if _first_violator(g, rmask, rsize, lo, hi)[0] < 0:
-            achieved = max(
-                g._degree_after_mask(rmask, rsize, v) for v in range(g.n)
-            )
+        if _first_violator(g, rmask, lo, hi)[0] < 0:
+            achieved = max(g._degree_after_mask(rmask, v) for v in range(g.n))
             return ApproxResult(achieved, members_of(rmask), k)
         if delta > 3 * k:
             continue
@@ -326,16 +322,14 @@ def approx_min_max_degree(g: Graph) -> ApproxResult:
 # -- k-regular ----------------------------------------------------------
 
 
-def find_regular_extension(
-    g: Graph, smask: int, ssize: int, near: int, k: int
-) -> int:
+def find_regular_extension(g: Graph, smask: int, near: int, k: int) -> int:
     """Detached completion of a search set S for the k-regular target.
 
     Returns the mask of the first non-empty C, disjoint from N[S] (given as
     the mask `near`), such that complementing S + C makes the graph
     k-regular, or 0 when there is none.  This is a step of _search, which
     calls it only when S is non-empty, holds every vertex of degree != k,
-    has |S| = `ssize` < k, and the input max degree is at most 3k.
+    has |S| < k, and the input max degree is at most 3k.
 
     Since C avoids N(S), every member b of S gains all of C and keeps its
     own edges, ending with degree d(b) + |S| + |C| - 1 - 2|N(b) & S|: the
@@ -345,23 +339,30 @@ def find_regular_extension(
     k + |S| + |C| - 1 - 2|N(c) & C|, and G[C] must be d-regular with
     d = (|S| + |C| - 1)/2.  So |S| + |C| is odd, and d <= |C| - 1 gives
     |C| >= |S| + 1 (hence |S| < k); a size that breaks either is refused
-    before any ball is built.  Since d >= |C|/2, C is connected, so for
-    each start vertex v only subsets of the radius-(k-1) ball around v
-    need checking.  Vertices outside S + C keep their degree k, so
-    scanning S + C decides.  Enumeration is by start vertex, then
-    lexicographic order, and the first verified completion wins.
+    before any ball is built.  Since S is non-empty, d >= |C|/2, so two
+    members of C that are not adjacent have together at least |C|
+    neighbors among the other |C| - 2 members, and share one: every
+    completion lies within distance 2 (and, having at most k members,
+    k - 1) of its least member v.  So only subsets of the ball of radius
+    min(2, k - 1) around v need checking; it holds at most k^2 + 1
+    vertices, since v and its neighbors have degree k.  Vertices outside
+    S + C keep their degree k, so scanning S + C decides.  Enumeration is
+    by start vertex, then lexicographic order, and the first verified
+    completion wins.
     """
-    sizes = {k - g._degree_after_mask(smask, ssize, b) for b in members_of(smask)}
+    ssize = smask.bit_count()
+    sizes = {k - g._degree_after_mask(smask, b) for b in members_of(smask)}
     csize = sizes.pop()
     if sizes or not ssize < csize <= k or (ssize + csize) % 2 == 0:
         return 0
     for v in range(g.n):
         if near >> v & 1:
             continue
-        pool = [u for u in g.ball(v, k - 1) if u > v and not near >> u & 1]
+        ball = g.ball(v, min(2, k - 1))
+        pool = [u for u in ball if u > v and not near >> u & 1]
         for tail in combinations(pool, csize - 1):
             cmask = 1 << v | mask_of(tail)
-            if _first_violator(g, smask | cmask, ssize + csize, k, k)[0] < 0:
+            if _first_violator(g, smask | cmask, k, k)[0] < 0:
                 return cmask
     return 0
 

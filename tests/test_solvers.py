@@ -12,15 +12,18 @@ from hypothesis import given, settings, strategies as st
 from subcomp.families import complete, cycle, empty_graph, gnp, path, star
 from subcomp.graph import Graph, mask_of, members_of
 from subcomp.oracle import (
+    TargetKind,
     brute_force_min_max_degree,
     brute_force_solve,
     check,
+    degree_range,
     max_deg_at_most,
     min_deg_at_least,
     regular,
 )
 from subcomp.reduction import build_crg_reduction
 from subcomp.solvers import (
+    _first_violator,
     approx_min_max_degree,
     find_regular_extension,
     solve_k_regular,
@@ -30,7 +33,7 @@ from subcomp.solvers import (
     trivial_low_min_degree_witness,
 )
 
-from conftest import graphs
+from conftest import graphs, graphs_with_subset
 
 
 class TestTrivialWitnesses:
@@ -62,6 +65,7 @@ class TestTrivialWitnesses:
     def test_high_above_range(self):
         assert trivial_high_max_degree_witness(cycle(4), 4) is None
         assert trivial_high_max_degree_witness(Graph(0, []), 0) is None
+        assert trivial_high_max_degree_witness(Graph(0, []), -1) is None
 
     def test_high_complete(self):
         assert trivial_high_max_degree_witness(complete(4), 3) == (0,)
@@ -76,6 +80,34 @@ class TestTrivialWitnesses:
         s = trivial_high_max_degree_witness(g, g.n - 1)
         assert s is not None
         assert g.degree_after_complement(s, 0) == g.n - 1
+
+
+class TestFirstViolator:
+    @given(
+        graphs_with_subset(),
+        st.sampled_from(["drawn", "empty", "all"]),
+        st.sampled_from(TargetKind),
+        st.data(),
+    )
+    def test_matches_materialized_degrees(self, gs, which, kind, data):
+        g, s = gs
+        s = {"drawn": s, "empty": (), "all": tuple(range(g.n))}[which]
+        k = data.draw(st.integers(0, g.n + 1))
+        lo, hi = degree_range(kind, k, g.n)
+        degs = g.subgraph_complement(s).degrees()
+        dist = [max(lo - degs[v], degs[v] - hi, 0) for v in s]
+        off = [i for i, d in enumerate(dist) if d]
+        first = (s[off[0]], dist[off[0]]) if off else (-1, 0)
+        smask = mask_of(s)
+        assert _first_violator(g, smask, lo, hi) == (*first, first[1])
+        # no distance exceeds n + 1, so this slack scans all of S
+        whole = max(dist, default=0)
+        assert _first_violator(g, smask, lo, hi, g.n + 1) == (*first, whole)
+        # in general the scan stops at the first member further than slack
+        slack = data.draw(st.integers(0, g.n + 1))
+        stop = next((i for i, d in enumerate(dist) if d > slack), len(s) - 1)
+        worst = max(dist[: stop + 1], default=0)
+        assert _first_violator(g, smask, lo, hi, slack) == (*first, worst)
 
 
 class TestSolveMaxDegLe:
@@ -238,7 +270,7 @@ def _completion(g, seeds, k):
     """find_regular_extension called as _search calls it, on the set `seeds`."""
     smask = mask_of(seeds)
     near = mask_of(u for v in seeds for u in g.closed_neighborhood(v))
-    return find_regular_extension(g, smask, len(seeds), near, k)
+    return find_regular_extension(g, smask, near, k)
 
 
 def _small_graphs():
@@ -583,6 +615,10 @@ PINNED_SEARCHES = [
      (2, 3, 4, 6, 7, 8, 9, 12, 13, 14, 17, 18, 20, 25, 28),
      (7229, 12, 0, 708, 3266), 54308),
     ("maxdeg", _C40_135_GADGET, 44, False, None, (1718, 8, 0, 116, 836), 105562),
+    # K_{4,4} plus an isolated vertex: the only completions of {8} are the
+    # induced 4-cycles, whose members lie at distance 2 from each other.
+    ("regular", Graph(9, [(u, w) for u in range(4) for w in range(4, 8)]), 4,
+     True, (0, 1, 4, 5, 8), (1, 0, 0, 0, 0), 1),
 ]
 
 
