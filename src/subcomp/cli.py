@@ -6,7 +6,8 @@ MAX_VERTICES (32,768) vertices: adjacency rows are bitmasks, so n vertices
 can take up to n^2/8 bytes; `reduce` refuses, with exit 2, a gadget that
 would be larger.  Decision subcommands print a single JSON object
 {"answer", "witness", "target", ...} and exit 0 on yes, 1 on no, 2 on bad
-input, 3 when the brute-force capacity guard refuses, and 4 on an
+input (a usage error, an unreadable or non-UTF-8 file, a malformed graph
+or argument), 3 when the brute-force capacity guard refuses, and 4 on an
 internal error (any other exception, reported on stderr, so that a crash
 is never read as "no").  Output is byte-deterministic: keys are sorted
 and witnesses are sorted id lists.
@@ -250,11 +251,6 @@ def main(argv=None) -> int:
 def _run(args: argparse.Namespace) -> int:
     try:
         g = _read_graph_arg(args.graph)
-    except (GraphParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if args.command == "approx-maxdeg":
             result = approx_min_max_degree(g)
             _emit(
@@ -308,11 +304,7 @@ def _run(args: argparse.Namespace) -> int:
             ok = check(g, vertices, target)
             outcome = SolveOutcome(ok, tuple(sorted(set(vertices))) if ok else None, 1)
         elif args.command == "brute":
-            try:
-                outcome = brute_force_solve(g, target, cap=args.cap)
-            except CapacityError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 3
+            outcome = brute_force_solve(g, target, cap=args.cap)
         else:
             # Looked up on each call, so that patches of the module
             # attributes (tests, the benchmark tracer) take effect.
@@ -324,6 +316,9 @@ def _run(args: argparse.Namespace) -> int:
             outcome = solve(g, args.k)
         _emit(_decision_payload(outcome, target, getattr(args, "stats", False)))
         return 0 if outcome.answer else 1
+    except CapacityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -131,12 +131,10 @@ class Graph:
 
         Edges with at least one endpoint outside the set are untouched; for
         u != v both inside it, uv is an edge of the result iff it is not an
-        edge here.  Applying the same set twice is the identity.
+        edge here, so a member v's row becomes N(v) xor (S - v).  Applying
+        the same set twice is the identity.
         """
         smask = self._subset_mask(vertices)
-        return self._complement_mask(smask)
-
-    def _complement_mask(self, smask: int) -> "Graph":
         rows = list(self._rows)
         for v in members_of(smask):
             rows[v] ^= smask ^ 1 << v

@@ -121,19 +121,16 @@ def brute_force_min_max_degree(g: Graph, cap: int = DEFAULT_CAPACITY) -> tuple[i
     degree, with the first optimal S in size-then-lex order.  Ground truth
     for the approximation guarantee.
 
-    Bisects the bound hi over [0, max degree] with the subset kernel: the
-    optimum is the least hi that some set reaches, and the kernel's first
-    set at that hi is the first optimal set.  The empty set reaches the
-    max degree itself, so the top of the range needs no search.
+    Sweeps the bound hi upward from 0 with the subset kernel: the optimum
+    is the first hi that some set reaches, and the kernel's first set at
+    that hi is the first optimal set.  The empty set reaches the max degree
+    itself, so the sweep stops below it, and reaching the end means that no
+    set beats the empty one.
     """
     _guard_capacity(g.n, cap)
-    lo, hi = 0, g.max_degree()
-    best_mask = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        found, mask, _ = pure.brute_force_search(g._rows, g.n, 0, mid)
+    delta = g.max_degree()
+    for hi in range(delta):
+        found, mask, _ = pure.brute_force_search(g._rows, g.n, 0, hi)
         if found:
-            hi, best_mask = mid, mask
-        else:
-            lo = mid + 1
-    return hi, members_of(best_mask)
+            return hi, members_of(mask)
+    return delta, ()

@@ -146,21 +146,26 @@ def _search(g: Graph, k: int, kind: TargetKind) -> SolveOutcome:
     So it visits the same sets in the same order, with the same witness and
     counters.
 
-    The start set holds every input violator (degree outside [lo, hi]),
-    and so does every set grown from it, which is what lets
-    _first_violator scan S alone.  A set whose members all land in the
-    target range is the witness.  Otherwise a set is pruned at the size
-    bound, or by slack: a solution strictly containing the failed start set
-    has at most 2K+1 vertices, and each vertex added to S moves the degree
-    of every member by exactly one, so when some member of S lies further
-    from the target range than 2K+1 - |S| no superset of S (detached
-    completions included) is a solution.  Supersets of a pruned set are
-    pruned too, so the prune skips no witness and changes none.  Surviving
-    sets get children that add one vertex: for max degree <= k an original
-    neighbor of the minimum-id violator (only that deletes one of its
-    edges), for min degree a non-neighbor of it (only that adds one), for
-    k-regular any neighbor of the set, after a set of size < k has first
-    tried find_regular_extension.  Children are visited in increasing id.
+    The start set holds every input violator (degree outside [lo, hi]), and
+    so does every set grown from it, which is what lets _first_violator scan
+    S alone.  The start set is the search's first node, and one loop
+    evaluates it like every other set: a set whose members all land in the
+    target range is the witness.  At the first node only, a failed start set
+    refutes the whole search when the input spread (max degree, or the
+    complement's) exceeds 3K or, for max and min degree, the set has 2K+1
+    vertices or more, since a solution would strictly contain it plus a vertex
+    of degree <= K.  Otherwise a set is pruned at the size bound, or by
+    slack: a solution strictly containing the failed start set has at most
+    2K+1 vertices, and each vertex added to S moves the degree of every
+    member by exactly one, so when some member of S lies further from the
+    target range than 2K+1 - |S| no superset of S (detached completions
+    included) is a solution.  Supersets of a pruned set are pruned too, so
+    the prune skips no witness and changes none.  Surviving sets get
+    children that add one vertex: for max degree <= k an original neighbor
+    of the minimum-id violator (only that deletes one of its edges), for min
+    degree a non-neighbor of it (only that adds one), for k-regular any
+    neighbor of the set, after a set of size < k has first tried
+    find_regular_extension.  Children are visited in increasing id.
 
     Each set also carries `out`, the vertices excluded from its subtree:
     those its ancestors and its earlier siblings already added as children.
@@ -192,22 +197,24 @@ def _search(g: Graph, k: int, kind: TargetKind) -> SolveOutcome:
     smask = mask_of(
         v for v, row in enumerate(rows) if not lo <= row.bit_count() <= hi
     )
-    stats = BranchStats(nodes=1)
-    ssize = smask.bit_count()
-    viol, need, worst = _first_violator(g, smask, lo, hi, limit - ssize)
-    if viol < 0:
-        return SolveOutcome(True, members_of(smask), stats.nodes, stats)
-    # A solution would strictly contain the failed start set plus a vertex
-    # of degree <= K (in the complement, for min degree), which caps the
-    # input max degree (the complement's) at 3K and, for max and min
-    # degree, the start set at 2K vertices.
-    spread = n - 1 - g.min_degree() if dual else g.max_degree()
-    if spread > 3 * bound or (not regular and ssize >= limit):
-        return SolveOutcome(False, None, stats.nodes, stats)
-
+    stats = BranchStats()
     out = 0
     stack = []
     while True:
+        stats.nodes += 1
+        ssize = smask.bit_count()
+        viol, need, worst = _first_violator(g, smask, lo, hi, limit - ssize)
+        if viol < 0:
+            return SolveOutcome(True, members_of(smask), stats.nodes, stats)
+        if stats.nodes == 1:
+            # A solution would strictly contain the failed start set plus a
+            # vertex of degree <= K (in the complement, for min degree),
+            # which caps the input max degree (the complement's) at 3K and,
+            # for max and min degree, the start set at 2K vertices.
+            spread = n - 1 - g.min_degree() if dual else g.max_degree()
+            if spread > 3 * bound or (not regular and ssize >= limit):
+                return SolveOutcome(False, None, stats.nodes, stats)
+
         if ssize >= limit:
             stats.pruned_by_size += 1
         elif worst > limit - ssize:
@@ -232,23 +239,15 @@ def _search(g: Graph, k: int, kind: TargetKind) -> SolveOutcome:
                 # moves it away.
                 stats.pruned_by_maxdeg += 1
 
-        while stack:
-            parent, untried, out = stack[-1]
-            if not untried:
-                stack.pop()
-                continue
-            low = untried & -untried
-            stack[-1] = (parent, untried ^ low, out | low)
-            smask = parent | low
-            stats.nodes += 1
-            stats.max_depth = max(stats.max_depth, len(stack))
-            ssize = smask.bit_count()
-            viol, need, worst = _first_violator(g, smask, lo, hi, limit - ssize)
-            if viol < 0:
-                return SolveOutcome(True, members_of(smask), stats.nodes, stats)
-            break
-        else:
+        while stack and not stack[-1][1]:
+            stack.pop()
+        if not stack:
             return SolveOutcome(False, None, stats.nodes, stats)
+        parent, untried, out = stack[-1]
+        low = untried & -untried
+        stack[-1] = (parent, untried ^ low, out | low)
+        smask = parent | low
+        stats.max_depth = max(stats.max_depth, len(stack))
 
 
 # -- max degree at most k ----------------------------------------------

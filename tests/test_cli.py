@@ -312,6 +312,23 @@ class TestErrors:
         code, _, err = run_cli(capsys, ["maxdeg", "--k", "1", str(bad)])
         assert code == 2 and "line 2" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["maxdeg", "--k", "1"],
+            ["brute", "--target", "maxdeg", "--k", "1"],
+            ["approx-maxdeg"],
+            ["reduce", "--k", "2", "--out", "gadget"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_undecodable_file(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)  # reduce would write its gadget here
+        Path("bad.graph").write_bytes(b"3 1\n0 1\n\xff\n")
+        code = main(argv + ["bad.graph"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == "" and out.err.startswith("error:")
+
     def test_header_over_vertex_limit(self, capsys, tmp_path):
         big = tmp_path / "big.graph"
         big.write_text(f"{MAX_VERTICES + 1} 0\n")

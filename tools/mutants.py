@@ -15,10 +15,8 @@ whose text is no longer found counts as a failure, so the list follows
 the code).  About ten seconds per surviving mutant; killed ones stop at
 their first failing test.
 
-Left out on purpose: `lo = mid` in the min-max bisection loops forever, so
-it is killed only when TIMEOUT_S runs out, which would add ten minutes to
-every run; and calling the completion through a module alias takes two
-lines.
+Left out on purpose: calling the completion through a module alias takes
+two lines.
 """
 
 from __future__ import annotations
@@ -77,8 +75,8 @@ MUTANTS = [
            "for _ in range(radius - 1):"),
     # |S| is read off the set at each node.
     Mutant("node-size-of-parent", SOLVERS,
-           "            ssize = smask.bit_count()\n            viol",
-           "            ssize = parent.bit_count()\n            viol"),
+           "        ssize = smask.bit_count()\n        viol",
+           "        ssize = (stack[-1][0] if stack else smask).bit_count()\n        viol"),
     Mutant("completion-size-off-by-one", SOLVERS,
            "    ssize = smask.bit_count()\n    sizes",
            "    ssize = smask.bit_count() + 1\n    sizes"),
@@ -119,6 +117,9 @@ MUTANTS = [
     Mutant("need-of-last-violator", SOLVERS,
            "            worst = excess\n",
            "            worst = need = excess\n"),
+    Mutant("start-refutation-at-node-2", SOLVERS,
+           "if stats.nodes == 1:",
+           "if stats.nodes == 2:"),
     Mutant("start-refutation-strict", SOLVERS,
            "(not regular and ssize >= limit)",
            "(not regular and ssize > limit)"),
@@ -136,15 +137,15 @@ MUTANTS = [
     Mutant("mindeg-range-short", ORACLE,
            "return k, n - 1",
            "return k, n - 2"),
-    Mutant("bisection-skips", ORACLE,
-           "lo = mid + 1",
-           "lo = mid + 2"),
-    Mutant("bisection-drops-witness", ORACLE,
-           "hi, best_mask = mid, mask",
-           "hi = mid"),
-    Mutant("bisection-starts-low", ORACLE,
-           "lo, hi = 0, g.max_degree()",
-           "lo, hi = 0, g.max_degree() - 1"),
+    Mutant("sweep-starts-at-1", ORACLE,
+           "for hi in range(delta):",
+           "for hi in range(1, delta):"),
+    Mutant("sweep-drops-witness", ORACLE,
+           "return hi, members_of(mask)",
+           "return hi, ()"),
+    Mutant("sweep-end-short", ORACLE,
+           "return delta, ()",
+           "return delta - 1, ()"),
     Mutant("kernel-without-bad-reject", KERNEL,
            "if not bad & t:",
            "if True:"),
@@ -154,6 +155,9 @@ MUTANTS = [
     Mutant("gadget-one-sided-join", REDUCTION,
            "            rows[y] |= xmask & ~(1 << y)",
            "            pass"),
+    Mutant("capacity-exit-2", CLI,
+           "return 3",
+           "return 2"),
     Mutant("parse-misses-duplicates", CLI,
            "if rows[u] >> v & 1:",
            "if rows[u] >> u & 1:"),
