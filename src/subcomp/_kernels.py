@@ -1,4 +1,4 @@
-"""Pure-Python subset-enumeration kernel.
+"""The subset-enumeration kernel of the brute-force oracle, in pure Python.
 
 Adjacency is a sequence of int bitmasks, one row per vertex, row v never
 containing bit v.  The kernel visits every subset, by size and then in
@@ -19,6 +19,9 @@ N(b) xor (S minus b), so with degree |N(b) xor S| - 1.
 from __future__ import annotations
 
 from collections.abc import Sequence
+
+# The kernel implementation that benchmark results record.
+BACKEND = "pure"
 
 
 def _reverse(mask: int, n: int) -> int:

@@ -65,42 +65,30 @@ def parse_graph(text: str) -> Graph:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
-        if n < 0:
-            if len(fields) != 2:
-                raise GraphParseError(
-                    f"line {lineno}: expected header 'n m', got {raw!r}"
-                )
-            try:
-                n, m = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise GraphParseError(
-                    f"line {lineno}: expected header 'n m', got {raw!r}"
-                ) from None
-            if n < 0 or m < 0:
-                raise GraphParseError(
-                    f"line {lineno}: header values must be non-negative"
-                )
-            if n > MAX_VERTICES:
-                raise GraphParseError(
-                    f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}"
-                )
-            rows = [0] * n
-            continue
-        if count == m:
+        if count == m:  # m is -1 until the header is read
             raise GraphParseError(
                 f"line {lineno}: more than the declared {m} edges"
             )
-        if len(fields) != 2:
-            raise GraphParseError(
-                f"line {lineno}: expected edge 'u v', got {raw!r}"
-            )
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v = line.split()
+            u, v = int(u), int(v)
         except ValueError:
+            expected = "header 'n m'" if n < 0 else "edge 'u v'"
             raise GraphParseError(
-                f"line {lineno}: expected edge 'u v', got {raw!r}"
+                f"line {lineno}: expected {expected}, got {raw!r}"
             ) from None
+        if n < 0:
+            if u < 0 or v < 0:
+                raise GraphParseError(
+                    f"line {lineno}: header values must be non-negative"
+                )
+            if u > MAX_VERTICES:
+                raise GraphParseError(
+                    f"line {lineno}: {u} vertices exceed the limit of {MAX_VERTICES}"
+                )
+            n, m = u, v
+            rows = [0] * n
+            continue
         if u == v:
             raise GraphParseError(f"line {lineno}: self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -146,7 +134,7 @@ def _decision_payload(
 ) -> dict:
     payload = {
         "answer": "yes" if outcome.answer else "no",
-        "witness": list(outcome.witness) if outcome.answer else None,
+        "witness": outcome.witness,
         "target": {"kind": target.kind.value, "k": target.k},
     }
     if with_stats and outcome.stats is not None:
@@ -252,14 +240,7 @@ def _run(args: argparse.Namespace) -> int:
     try:
         g = _read_graph_arg(args.graph)
         if args.command == "approx-maxdeg":
-            result = approx_min_max_degree(g)
-            _emit(
-                {
-                    "achieved_max_degree": result.achieved_max_degree,
-                    "lower_bound_k": result.lower_bound_k,
-                    "witness": list(result.witness),
-                }
-            )
+            _emit(asdict(approx_min_max_degree(g)))
             return 0
 
         if args.command == "reduce":
@@ -280,9 +261,7 @@ def _run(args: argparse.Namespace) -> int:
             sidecar = {
                 "k_prime": inst.k_prime,
                 "params": asdict(inst.params),
-                "blocks": {
-                    label: list(span) for label, span in inst.blocks.items()
-                },
+                "blocks": inst.blocks,
             }
             with open(blocks_path, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")

@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from subcomp._kernels import pure
+from subcomp._kernels import brute_force_search
 from subcomp.graph import Graph, members_of
 
 if TYPE_CHECKING:  # solvers imports this module
@@ -112,7 +112,7 @@ def brute_force_solve(g: Graph, target: TargetPredicate, cap: int = DEFAULT_CAPA
     """
     _guard_capacity(g.n, cap)
     lo, hi = degree_range(target.kind, target.k, g.n)
-    found, mask, checked = pure.brute_force_search(g._rows, g.n, lo, hi)
+    found, mask, checked = brute_force_search(g._rows, g.n, lo, hi)
     return SolveOutcome(found, members_of(mask) if found else None, checked)
 
 
@@ -130,7 +130,7 @@ def brute_force_min_max_degree(g: Graph, cap: int = DEFAULT_CAPACITY) -> tuple[i
     _guard_capacity(g.n, cap)
     delta = g.max_degree()
     for hi in range(delta):
-        found, mask, _ = pure.brute_force_search(g._rows, g.n, 0, hi)
+        found, mask, _ = brute_force_search(g._rows, g.n, 0, hi)
         if found:
             return hi, members_of(mask)
     return delta, ()

@@ -92,6 +92,11 @@ class TestParse:
             ("4 3\n2 3\n1 3\n3 2\n", "line 4: duplicate edge 2 3"),
             ("3 1\n0 1\n1 2\n", "line 3: more than the declared 1 edges"),
             ("3 2\n0 1\n# end\n", "line 3: declared 2 edges but found 1"),
+            ("3 1 2\n", "line 1: expected header 'n m', got '3 1 2'"),
+            ("3 1\n0\n", "line 2: expected edge 'u v', got '0'"),
+            # The edge count is checked before the line's grammar.
+            ("3 1\n0 1\nx\n", "line 3: more than the declared 1 edges"),
+            ("0 0\n0 1\n", "line 2: more than the declared 0 edges"),
             ("", "line 1: missing header 'n m'"),
             ("# nothing\n\n", "line 1: missing header 'n m'"),
         ],
@@ -222,6 +227,12 @@ class TestSubcommands:
             "lower_bound_k": 1,
             "witness": [],
         }
+
+    def test_approx_bytes(self, capsys, c5_file):
+        assert main(["approx-maxdeg", c5_file]) == 0
+        assert capsys.readouterr().out == (
+            '{"achieved_max_degree": 2, "lower_bound_k": 1, "witness": []}\n'
+        )
 
     def test_brute_and_cap(self, capsys, c5_file):
         code, payload, _ = run_cli(
@@ -387,6 +398,65 @@ class TestErrors:
         assert "internal error" in err and "solver bug" in err
 
 
+# The sidecar of `reduce --k 2` on C4, byte for byte.
+SIDECAR_C4_K2 = """\
+{
+  "blocks": {
+    "Ka:4": [
+      11,
+      14
+    ],
+    "Ka:5": [
+      14,
+      17
+    ],
+    "Ka:6": [
+      17,
+      20
+    ],
+    "Kb:10": [
+      29,
+      32
+    ],
+    "Kb:7": [
+      20,
+      23
+    ],
+    "Kb:8": [
+      23,
+      26
+    ],
+    "Kb:9": [
+      26,
+      29
+    ],
+    "Ks": [
+      7,
+      11
+    ],
+    "Kt": [
+      4,
+      7
+    ],
+    "source": [
+      0,
+      4
+    ]
+  },
+  "k_prime": 5,
+  "params": {
+    "a": 3,
+    "b": 3,
+    "k": 2,
+    "n": 4,
+    "r": 2,
+    "s": 4,
+    "t": 3
+  }
+}
+"""
+
+
 class TestReduce:
     def test_writes_gadget(self, capsys, tmp_path):
         src = tmp_path / "c4.graph"
@@ -406,6 +476,13 @@ class TestReduce:
         spans = sorted(tuple(v) for v in sidecar["blocks"].values())
         covered = sorted(x for lo, hi in spans for x in range(lo, hi))
         assert covered == list(range(32))
+
+    def test_sidecar_bytes(self, capsys, tmp_path):
+        src = tmp_path / "c4.graph"
+        src.write_text(write_graph(cycle(4)))
+        prefix = str(tmp_path / "out")
+        assert main(["reduce", "--k", "2", "--out", prefix, str(src)]) == 0
+        assert (tmp_path / "out.blocks.json").read_text() == SIDECAR_C4_K2
 
     def test_trivially_no(self, capsys, tmp_path):
         src = tmp_path / "c5.graph"

@@ -46,7 +46,7 @@ class Mutant:
 SOLVERS = "src/subcomp/solvers.py"
 GRAPH = "src/subcomp/graph.py"
 ORACLE = "src/subcomp/oracle.py"
-KERNEL = "src/subcomp/_kernels/pure.py"
+KERNEL = "src/subcomp/_kernels.py"
 REDUCTION = "src/subcomp/reduction.py"
 CLI = "src/subcomp/cli.py"
 
@@ -158,6 +158,13 @@ MUTANTS = [
     Mutant("capacity-exit-2", CLI,
            "return 3",
            "return 2"),
+    # One grammar for the header and the edge lines.
+    Mutant("parse-swaps-line-labels", CLI,
+           "if n < 0 else",
+           "if n >= 0 else"),
+    Mutant("header-sign-check-drops-m", CLI,
+           "if u < 0 or v < 0:",
+           "if u < 0:"),
     Mutant("parse-misses-duplicates", CLI,
            "if rows[u] >> v & 1:",
            "if rows[u] >> u & 1:"),
