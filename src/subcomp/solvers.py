@@ -27,7 +27,7 @@ fixed minimum-id orders so witnesses are deterministic and reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 
 from subcomp.graph import Graph, mask_of, members_of
 from subcomp.oracle import SolveOutcome, TargetKind, degree_range
@@ -154,7 +154,8 @@ def _search(g: Graph, k: int, kind: TargetKind) -> SolveOutcome:
     refutes the whole search when the input spread (max degree, or the
     complement's) exceeds 3K or, for max and min degree, the set has 2K+1
     vertices or more, since a solution would strictly contain it plus a vertex
-    of degree <= K.  Otherwise a set is pruned at the size bound, or by
+    of degree <= K.  One tuple of the input degrees gives both the start
+    set and the spread.  Otherwise a set is pruned at the size bound, or by
     slack: a solution strictly containing the failed start set has at most
     2K+1 vertices, and each vertex added to S moves the degree of every
     member by exactly one, so when some member of S lies further from the
@@ -194,9 +195,8 @@ def _search(g: Graph, k: int, kind: TargetKind) -> SolveOutcome:
     limit = 2 * bound + 1
     # rows[v] ^ flip is v's row in the complement, plus v itself.
     flip = (1 << n) - 1 if dual else 0
-    smask = mask_of(
-        v for v, row in enumerate(rows) if not lo <= row.bit_count() <= hi
-    )
+    degs = g.degrees()
+    smask = mask_of(v for v, d in enumerate(degs) if not lo <= d <= hi)
     stats = BranchStats()
     out = 0
     stack = []
@@ -211,7 +211,7 @@ def _search(g: Graph, k: int, kind: TargetKind) -> SolveOutcome:
             # vertex of degree <= K (in the complement, for min degree),
             # which caps the input max degree (the complement's) at 3K and,
             # for max and min degree, the start set at 2K vertices.
-            spread = n - 1 - g.min_degree() if dual else g.max_degree()
+            spread = n - 1 - min(degs, default=0) if dual else max(degs, default=0)
             if spread > 3 * bound or (not regular and ssize >= limit):
                 return SolveOutcome(False, None, stats.nodes, stats)
 
@@ -295,27 +295,34 @@ def solve_min_deg_ge(g: Graph, k: int) -> SolveOutcome:
 def approx_min_max_degree(g: Graph) -> ApproxResult:
     """Certified 3-approximation of min over S of the resulting max degree.
 
-    Sweep k upward.  If complementing V_>k already achieves max degree
-    <= k, no smaller k was achievable (the sweep would have stopped), so
-    the value is exactly optimal.  Otherwise max degree > 3k rules k out
-    entirely; once the input max degree falls within 3k the empty set
-    achieves it, and the optimum is at least k, giving the factor 3.
+    Sweep k upward, keeping R = V_>k: R starts at V and loses the vertices
+    of degree k at step k.  Every smaller k was ruled out (below), so if
+    complementing R achieves max degree <= k the value is optimal, and it
+    is k itself: were the achieved max degree a < k, no vertex would have a
+    degree in (a, k] (one outside R keeps its degree), so R = V_>a and the
+    sweep would have stopped at a.  Otherwise k is ruled out entirely when
+    the input max degree exceeds 3k: R fails, and any larger solution
+    holds a vertex of degree <= k, which caps it at 3k.  Once it falls
+    within 3k the empty set achieves it and the optimum is at least k,
+    giving the factor 3; that happens by k = ceil(max degree / 3), so the
+    sweep always ends.
     """
     if g.n == 0:
         raise ValueError("the empty graph has no achievable max degree")
     degs = g.degrees()
     delta = max(degs)
-    for k in range(g.n):
+    level = [0] * (delta + 1)
+    for v, d in enumerate(degs):
+        level[d] |= 1 << v
+    rmask = (1 << g.n) - 1
+    for k in count():
         lo, hi = degree_range(TargetKind.MAX_DEG_AT_MOST, k, g.n)
-        rmask = mask_of(v for v, d in enumerate(degs) if not lo <= d <= hi)
+        rmask ^= level[k]
         # Vertices outside R already have degree <= k, so scanning R decides.
         if _first_violator(g, rmask, lo, hi)[0] < 0:
-            achieved = max(g._degree_after_mask(rmask, v) for v in range(g.n))
-            return ApproxResult(achieved, members_of(rmask), k)
-        if delta > 3 * k:
-            continue
-        return ApproxResult(delta, (), k)
-    raise AssertionError("unreachable: the sweep always succeeds at k = n-1")
+            return ApproxResult(k, members_of(rmask), k)
+        if delta <= 3 * k:
+            return ApproxResult(delta, (), k)
 
 
 # -- k-regular ----------------------------------------------------------

@@ -251,6 +251,25 @@ class TestApproxMinMaxDegree:
         with pytest.raises(ValueError):
             approx_min_max_degree(Graph(0, []))
 
+    # A star's centre is its only vertex above k >= 1, and complementing
+    # one vertex changes nothing, so the sweep ends at the first k >= m/3.
+    @pytest.mark.parametrize(
+        "leaves, expected",
+        [(3000, (3000, (), 1000)), (3001, (3001, (), 1001)), (3002, (3002, (), 1001))],
+    )
+    def test_large_star_ends_at_a_third(self, leaves, expected):
+        res = approx_min_max_degree(star(leaves))
+        assert (res.achieved_max_degree, res.witness, res.lower_bound_k) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(min_n=1, max_n=9))
+    def test_nonempty_witness_is_the_set_above_k(self, g):
+        res = approx_min_max_degree(g)
+        if res.witness:
+            k = res.lower_bound_k
+            assert res.witness == tuple(v for v in range(g.n) if g.degree(v) > k)
+            assert res.achieved_max_degree == k
+
     @settings(max_examples=100, deadline=None)
     @given(graphs(min_n=1, max_n=7))
     def test_certificate(self, g):

@@ -133,6 +133,19 @@ MUTANTS = [
     Mutant("trivial-high-empty-graph", SOLVERS,
            "if not g.n or k > g.n - 1:",
            "if k > g.n - 1:"),
+    # One degree tuple: the approximation's level sweep, the search's spread.
+    Mutant("approx-removes-next-level", SOLVERS,
+           "rmask ^= level[k]",
+           "rmask ^= level[k + 1]"),
+    Mutant("approx-stops-below-a-third", SOLVERS,
+           "if delta <= 3 * k:",
+           "if delta < 3 * k:"),
+    Mutant("approx-reports-k-plus-1", SOLVERS,
+           "return ApproxResult(k, members_of(rmask), k)",
+           "return ApproxResult(k + 1, members_of(rmask), k)"),
+    Mutant("spread-reads-min-degree", SOLVERS,
+           "else max(degs, default=0)",
+           "else min(degs, default=0)"),
     # The target ranges, the oracle and the reduction.
     Mutant("mindeg-range-short", ORACLE,
            "return k, n - 1",

@@ -12,8 +12,9 @@ up as a difference even for REV = HEAD.  The two record streams must be
 equal line for line.  On a difference the first differing record is
 printed with its input.  Either way the node counts of the hard cases
 are printed, REV against this checkout.  The exit code is 0 when the
-streams are equal and 1 otherwise.  It takes about half a minute on two
-cores; it is not part of tier-1.
+streams are equal and 1 otherwise, and 2 on a usage error or when git
+cannot archive REV (git's message is printed).  It takes about half a
+minute on two cores; it is not part of tier-1.
 """
 
 from __future__ import annotations
@@ -49,11 +50,15 @@ def main(argv: list[str]) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     rev = argv[0]
+    archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT,
+                             capture_output=True)
+    if archive.returncode:
+        sys.stderr.buffer.write(archive.stderr)
+        return 2
     with tempfile.TemporaryDirectory(prefix="subcomp-sweep-") as tmp:
         work = Path(tmp)
-        archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT,
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(work)], input=archive, check=True)
+        subprocess.run(["tar", "-x", "-C", str(work)], input=archive.stdout,
+                       check=True)
         sides = {rev: work / "src", "this checkout": ROOT / "src"}
         outs = {side: open(work / f"records-{i}.jsonl", "w+")
                 for i, side in enumerate(sides)}
